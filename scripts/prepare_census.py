@@ -11,35 +11,23 @@ census-style generator instead of the real files.
 """
 
 import argparse
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
-from privproj.dataio import (balance_indices, joint_labels, load_csv,
-                             load_schema, normalize_adult_csv,
-                             recode_census_marital, save_dataset_csv,
-                             save_labels_csv)
+from privproj.dataio import normalize_adult_csv
 from privproj.synthetic import write_adult_like_csv
 
 
-def prepare_split(raw_csv: Path, out_prefix: Path, seed: int) -> None:
-    schema = load_schema(resources.files("privproj.schemas") /
-                         "census_adult.json")
-    loaded = load_csv(raw_csv, schema,
-                      recoders={"marital-status": recode_census_marital})
-    dataset, labels = loaded
-    idx = balance_indices(
-        joint_labels([labels["marital-status"], labels["sex"]]), seed=seed)
-    dataset = dataset.take(idx)
-    labels = {name: l.take(idx) for name, l in labels.items()}
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset_csv(dataset, out_prefix.with_suffix(".csv"))
-    for name, label_set in labels.items():
-        save_labels_csv(label_set,
-                        out_prefix.parent / f"{out_prefix.name}.{name}.csv")
-    print(f"{out_prefix.name}: kept {loaded.n_rows_kept}, dropped "
-          f"{loaded.n_rows_dropped}, balanced to {dataset.n_samples} rows, "
-          f"{dataset.n_features} features")
+def prepare_split(raw_csv: Path, out_prefix: Path, seed: int) -> int:
+    """Encode, recode and jointly balance one split via `privproj preprocess`."""
+    schema = resources.files("privproj.schemas") / "census_adult.json"
+    cmd = [sys.executable, "-m", "privproj.cli", "preprocess",
+           "--input", str(raw_csv), "--schema", str(schema),
+           "--recode-census-marital", "--balance-on", "marital-status,sex",
+           "--seed", str(seed), "--output", str(out_prefix)]
+    return subprocess.call(cmd)
 
 
 def main() -> int:
@@ -75,9 +63,8 @@ def main() -> int:
         normalize_adult_csv(train_src, train_raw)
         normalize_adult_csv(test_src, test_raw)
 
-    prepare_split(train_raw, out_dir / "train", seed=args.seed)
-    prepare_split(test_raw, out_dir / "test", seed=args.seed + 1)
-    return 0
+    return (prepare_split(train_raw, out_dir / "train", seed=args.seed)
+            or prepare_split(test_raw, out_dir / "test", seed=args.seed + 1))
 
 
 if __name__ == "__main__":

@@ -65,12 +65,9 @@ from .projections import (
     METHODS,
     ProjectionConfig,
     ProjectionModel,
-    fit_dca,
-    fit_mdr,
     fit_method,
     fit_pca,
     fit_random,
-    fit_ruca,
     load_model,
     model_from_json,
     model_to_json,
@@ -94,7 +91,7 @@ __all__ = [
     "EigenPairs", "sym_eig", "generalized_eig",
     # projections
     "METHODS", "ProjectionConfig", "ProjectionModel",
-    "fit_pca", "fit_dca", "fit_mdr", "fit_ruca", "fit_random", "fit_method",
+    "fit_pca", "fit_random", "fit_method",
     "project", "subspace_angle",
     "model_to_json", "model_from_json", "save_model", "load_model",
     # classification

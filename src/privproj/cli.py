@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -28,9 +27,9 @@ from .dataio import (balance_indices, joint_labels, load_csv,
                      load_dataset_csv, load_labels_csv, load_schema,
                      recode_census_marital, save_dataset_csv, save_labels_csv)
 from .errors import InputError, NumericalError
-from .experiment import (FULL_BASELINE, DataBundle, TradeoffPoint,
-                         emit_tradeoff_curve, load_config, read_tradeoff_csv,
-                         render_svg, run_sweep)
+from .experiment import (FULL_BASELINE, DataBundle, emit_tradeoff_curve,
+                         load_config, read_tradeoff_points, render_svg,
+                         run_sweep)
 from .projections import (METHODS, ProjectionConfig, fit_method, load_model,
                           project, save_model)
 
@@ -189,37 +188,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _float_or_nan(text: str) -> float:
-    return float(text) if text else math.nan
-
-
-def _points_from_csv(path) -> list[TradeoffPoint]:
-    rows = read_tradeoff_csv(path)
-    if not rows:
-        raise InputError(f"{path}: no rows")
-    header = list(rows[0].keys())
-    p_means = [c for c in header if c.startswith("acc_p") and
-               c.endswith("_mean")]
-    betas = [c for c in header if c.startswith("perf@")]
-    points = []
-    for row in rows:
-        weights = tuple(float(w) for w in row["privacy_weights"].split(";")
-                        if w)
-        points.append(TradeoffPoint(
-            method=row["method"], k=int(row["k"]), privacy_weights=weights,
-            acc_u_mean=_float_or_nan(row["acc_u_mean"]),
-            acc_u_std=_float_or_nan(row["acc_u_std"]),
-            acc_p_means=tuple(_float_or_nan(row[c]) for c in p_means),
-            acc_p_stds=tuple(_float_or_nan(row[c.replace("_mean", "_std")])
-                             for c in p_means),
-            performance={float(c.split("@", 1)[1]): _float_or_nan(row[c])
-                         for c in betas},
-            status=row["status"]))
-    return points
-
-
 def cmd_plot(args) -> int:
-    points = _points_from_csv(args.csv)
+    points = read_tradeoff_points(args.csv)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_svg(points, scored_task=0))
     print(f"wrote {args.out}")

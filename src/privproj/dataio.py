@@ -46,15 +46,10 @@ class ColumnSchema:
     name: str
     kind: str
     categories: tuple[str, ...] | None = None
-    missing_policy: str = "drop_row"
 
     def __post_init__(self):
         if self.kind not in COLUMN_KINDS:
             raise InputError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.missing_policy != "drop_row":
-            raise InputError(
-                f"column {self.name!r}: unsupported missing_policy "
-                f"{self.missing_policy!r}")
         if self.kind in ("categorical", "label"):
             if not self.categories or len(self.categories) < 2:
                 raise InputError(
@@ -113,13 +108,12 @@ def schema_from_json(text: str) -> TableSchema:
         raise InputError('schema JSON must be an object with a "columns" list')
     columns = []
     for entry in doc["columns"]:
-        unknown = set(entry) - {"name", "kind", "categories", "missing_policy"}
+        unknown = set(entry) - {"name", "kind", "categories"}
         if unknown:
             raise InputError(f"schema column has unknown keys: {sorted(unknown)}")
         columns.append(ColumnSchema(
             name=entry["name"], kind=entry["kind"],
-            categories=tuple(entry["categories"]) if "categories" in entry else None,
-            missing_policy=entry.get("missing_policy", "drop_row")))
+            categories=tuple(entry["categories"]) if "categories" in entry else None))
     return TableSchema(tuple(columns))
 
 
@@ -319,13 +313,11 @@ class SplitSpec:
 
     seed: int
     fraction: float
-    balance_on: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
             raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "balance_on", tuple(self.balance_on))
 
 
 def subsample(d: Dataset, l: list[LabelSet] | tuple[LabelSet, ...],

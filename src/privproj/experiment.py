@@ -2,10 +2,11 @@
 grid, accuracy aggregation, the utility/privacy performance criterion, and
 trade-off table/chart emission.
 
-Determinism contract: every random draw derives from (seed, method, k,
-weights, iteration) alone, so results are identical regardless of worker
-count or scheduling order, and rerunning a sweep reproduces its CSV
-byte-for-byte.
+Determinism contract: an iteration's subsample depends only on (seed,
+iteration), so every cell sees the same draws; only RANDOM fits are salted
+with (method, k, weights). Results are identical regardless of worker count
+or scheduling order, and rerunning a sweep on the same numpy/BLAS build
+reproduces its CSV byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .seeds import mix
 __all__ = [
     "MethodGrid", "ExperimentConfig", "DataBundle", "TradeoffPoint",
     "performance", "run_sweep", "emit_tradeoff_curve", "read_tradeoff_csv",
+    "read_tradeoff_points",
     "config_from_json", "config_to_json", "load_config", "FULL_BASELINE",
     "render_svg",
 ]
@@ -342,6 +344,42 @@ def _tradeoff_rows(points: list[TradeoffPoint], betas: tuple[float, ...]):
         yield row
 
 
+def read_tradeoff_csv(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _float_or_nan(text: str) -> float:
+    return float(text) if text else math.nan
+
+
+def read_tradeoff_points(path) -> list[TradeoffPoint]:
+    """Parse a trade-off CSV back into points; emitting them again writes
+    the same bytes."""
+    rows = read_tradeoff_csv(path)
+    if not rows:
+        raise InputError(f"{path}: no rows")
+    header = list(rows[0].keys())
+    p_means = [c for c in header if c.startswith("acc_p") and
+               c.endswith("_mean")]
+    betas = [c for c in header if c.startswith("perf@")]
+    points = []
+    for row in rows:
+        weights = tuple(float(w) for w in row["privacy_weights"].split(";")
+                        if w)
+        points.append(TradeoffPoint(
+            method=row["method"], k=int(row["k"]), privacy_weights=weights,
+            acc_u_mean=_float_or_nan(row["acc_u_mean"]),
+            acc_u_std=_float_or_nan(row["acc_u_std"]),
+            acc_p_means=tuple(_float_or_nan(row[c]) for c in p_means),
+            acc_p_stds=tuple(_float_or_nan(row[c.replace("_mean", "_std")])
+                             for c in p_means),
+            performance={float(c.split("@", 1)[1]): _float_or_nan(row[c])
+                         for c in betas},
+            status=row["status"]))
+    return points
+
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf")
 
@@ -447,8 +485,3 @@ def emit_tradeoff_curve(points: list[TradeoffPoint], base_path,
     with open(svg_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_svg(points, scored_task))
     return csv_path, svg_path
-
-
-def read_tradeoff_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))

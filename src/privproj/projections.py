@@ -34,7 +34,7 @@ from .seeds import rng_from
 
 __all__ = [
     "METHODS", "ProjectionConfig", "ProjectionModel",
-    "fit_ruca", "fit_dca", "fit_mdr", "fit_pca", "fit_random", "fit_method",
+    "fit_pca", "fit_random", "fit_method",
     "project", "subspace_angle", "modified_gram_schmidt",
     "model_to_json", "model_from_json", "save_model", "load_model",
 ]
@@ -135,55 +135,37 @@ def _resolve_rho_prime(cfg: ProjectionConfig, s_bu: np.ndarray) -> float:
     return RHO_PRIME_SCALE * float(np.trace(s_bu)) / s_bu.shape[0]
 
 
-def fit_ruca(d: Dataset, utility: LabelSet,
-             privacy: list[LabelSet] | tuple[LabelSet, ...],
-             cfg: ProjectionConfig) -> ProjectionModel:
-    """Weighted interpolation between DCA and MDR.
+def _fit_pencil(d: Dataset, utility: LabelSet,
+                privacy: list[LabelSet] | tuple[LabelSet, ...],
+                cfg: ProjectionConfig) -> ProjectionModel:
+    """Solve the discriminant pencil (s_bu + rho'·I, denominator + rho·I).
 
-    Pencil: (s_bu + rho'·I, s_bar + sum_p w_p·s_bp_p + rho·I). Zero-weight
-    privacy terms are skipped outright, so an empty/zero-weight call takes
-    the identical arithmetic path as DCA.
+    The denominator follows cfg.method: MDR takes the first privacy
+    between-class scatter; DCA and RUCA take s_bar plus w_p·s_bp_p for each
+    non-zero RUCA weight. Zero-weight terms are skipped outright, so a
+    zero-weight RUCA fit takes the identical arithmetic path as DCA. DCA
+    ignores privacy labelings and weights and records empty weights.
     """
-    if len(cfg.privacy_weights) != len(privacy):
+    if cfg.method == "DCA":
+        cfg = replace(cfg, privacy_weights=())
+    elif cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
         raise WeightMismatch(
             f"{len(cfg.privacy_weights)} privacy weights for "
             f"{len(privacy)} privacy labelings")
     util = compute_scatter(d, utility)
+    if cfg.method == "MDR":
+        denominator = compute_scatter(d, privacy[0]).s_b
+    else:
+        denominator = util.s_bar
+        for weight, labels in zip(cfg.privacy_weights, privacy):
+            if weight != 0.0:
+                denominator = denominator + weight * compute_scatter(d, labels).s_b
     rho = _resolve_rho(cfg, util.s_bar)
     rho_prime = _resolve_rho_prime(cfg, util.s_b)
     eye = np.eye(d.n_features)
-
-    numerator = linalg.symmetrize(util.s_b + rho_prime * eye)
-    denominator = util.s_bar.copy()
-    for weight, labels in zip(cfg.privacy_weights, privacy):
-        if weight != 0.0:
-            denominator = denominator + weight * compute_scatter(d, labels).s_b
-    denominator = linalg.symmetrize(denominator + rho * eye)
-
-    pairs = linalg.generalized_eig(numerator, denominator, cfg.k)
-    resolved = replace(cfg, rho=rho, rho_prime=rho_prime)
-    return ProjectionModel(w=pairs.vectors, eigenvalues=pairs.values,
-                           config=resolved, feature_mean=util.mean)
-
-
-def fit_dca(d: Dataset, utility: LabelSet, cfg: ProjectionConfig) -> ProjectionModel:
-    """Utility-only discriminant: pencil (s_bu + rho'·I, s_bar + rho·I)."""
-    return fit_ruca(d, utility, (), replace(cfg, privacy_weights=()))
-
-
-def fit_mdr(d: Dataset, utility: LabelSet, privacy: LabelSet,
-            cfg: ProjectionConfig) -> ProjectionModel:
-    """Utility-vs-privacy scatter ratio: pencil (s_bu + rho'·I, s_bp + rho·I)."""
-    util = compute_scatter(d, utility)
-    priv = compute_scatter(d, privacy)
-    rho = _resolve_rho(cfg, util.s_bar)
-    rho_prime = _resolve_rho_prime(cfg, util.s_b)
-    eye = np.eye(d.n_features)
-
-    numerator = linalg.symmetrize(util.s_b + rho_prime * eye)
-    denominator = linalg.symmetrize(priv.s_b + rho * eye)
-
-    pairs = linalg.generalized_eig(numerator, denominator, cfg.k)
+    pairs = linalg.generalized_eig(linalg.symmetrize(util.s_b + rho_prime * eye),
+                                   linalg.symmetrize(denominator + rho * eye),
+                                   cfg.k)
     resolved = replace(cfg, rho=rho, rho_prime=rho_prime)
     return ProjectionModel(w=pairs.vectors, eigenvalues=pairs.values,
                            config=resolved, feature_mean=util.mean)
@@ -248,20 +230,22 @@ def fit_random(m: int, cfg: ProjectionConfig) -> ProjectionModel:
 def fit_method(d: Dataset, utility: LabelSet | None,
                privacy: list[LabelSet] | tuple[LabelSet, ...],
                cfg: ProjectionConfig) -> ProjectionModel:
-    """Dispatch on cfg.method with uniform arguments (labels optional where unused)."""
+    """Fit the projection cfg.method names, with uniform arguments.
+
+    PCA and RANDOM ignore the labels. DCA, MDR and RUCA need utility labels;
+    MDR needs at least one privacy labeling and uses only the first; RUCA
+    needs one privacy weight per privacy labeling.
+    """
     if cfg.method == "PCA":
         return fit_pca(d, cfg)
     if cfg.method == "RANDOM":
         return fit_random(d.n_features, cfg)
     if utility is None:
         raise InputError(f"method {cfg.method} requires utility labels")
-    if cfg.method == "DCA":
-        return fit_dca(d, utility, cfg)
-    if cfg.method == "MDR":
-        if len(privacy) < 1:
-            raise InputError("MDR requires exactly one privacy labeling")
-        return fit_mdr(d, utility, privacy[0], cfg)
-    return fit_ruca(d, utility, privacy, cfg)
+    if cfg.method == "MDR" and not privacy:
+        raise InputError("MDR requires at least one privacy labeling "
+                         "(it uses the first)")
+    return _fit_pencil(d, utility, privacy, cfg)
 
 
 def project(model: ProjectionModel, d: Dataset) -> Dataset:

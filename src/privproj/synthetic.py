@@ -19,6 +19,7 @@ import csv
 import numpy as np
 
 from .data import Dataset, LabelSet
+from .dataio import ADULT_COLUMNS
 from .errors import InputError
 from .experiment import DataBundle
 from .seeds import rng_from
@@ -81,11 +82,6 @@ def tradeoff_bundle(seed: int, n_train: int = 2000, n_test: int = 2000,
 
 
 # --- census-style generator ---------------------------------------------------
-
-_COLUMNS = ("age", "workclass", "fnlwgt", "education", "education-num",
-            "marital-status", "occupation", "relationship", "race", "sex",
-            "capital-gain", "capital-loss", "hours-per-week",
-            "native-country", "income")
 
 #: education name for each education-num value 1..16.
 _EDU_BY_NUM = ("Preschool", "1st-4th", "5th-6th", "7th-8th", "9th", "10th",
@@ -220,7 +216,7 @@ def write_adult_like_csv(path, seed: int, n_rows: int,
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COLUMNS)
+        writer.writerow(ADULT_COLUMNS)
         for i in range(n):
             writer.writerow([
                 age[i],

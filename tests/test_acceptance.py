@@ -26,8 +26,7 @@ from privproj.dataio import (balance_indices, joint_labels, load_csv,
 from privproj.experiment import (DataBundle, ExperimentConfig, MethodGrid,
                                  performance, run_sweep)
 from privproj.linalg import generalized_eig, symmetrize
-from privproj.projections import (ProjectionConfig, fit_dca, fit_mdr,
-                                  fit_ruca, subspace_angle)
+from privproj.projections import ProjectionConfig, fit_method, subspace_angle
 from privproj.scatter import compute_scatter
 from privproj.seeds import rng_from
 from privproj.synthetic import tradeoff_bundle, write_adult_like_csv
@@ -105,7 +104,7 @@ def test_criterion_03_rank_bound():
         n = int(rng.integers(3 * c, 121))
         d, l = random_labeled_dataset(rng, n, m, c)
         cfg = ProjectionConfig(method="DCA", k=m, rho_prime=0.0)
-        model = fit_dca(d, l, cfg)
+        model = fit_method(d, l, (), cfg)
         lam1 = model.eigenvalues[0]
         count = int((model.eigenvalues > 1e-8 * lam1).sum())
         if count > c - 1:
@@ -124,9 +123,9 @@ def test_criterion_04_ruca_zero_is_dca():
         k = 1 + trial % 3
         d, utility, privacy = separated_instance(seed=4000 + trial, m=m,
                                                  c_p=c_p)
-        dca = fit_dca(d, utility, ProjectionConfig(method="DCA", k=k))
-        ruca = fit_ruca(d, utility, (privacy,),
-                        ProjectionConfig(method="RUCA", k=k,
+        dca = fit_method(d, utility, (), ProjectionConfig(method="DCA", k=k))
+        ruca = fit_method(d, utility, (privacy,),
+                          ProjectionConfig(method="RUCA", k=k,
                                          privacy_weights=(0.0,)))
         worst = max(worst, subspace_angle(dca.w, ruca.w))
     report(4, worst < 1e-9,
@@ -147,11 +146,11 @@ def test_criterion_05_mdr_limit():
         s_all = compute_scatter(d, utility)
         s_priv = compute_scatter(d, privacy)
         rho_p = 1e6 * np.trace(s_all.s_bar) / np.trace(s_priv.s_b)
-        ruca = fit_ruca(d, utility, (privacy,),
-                        ProjectionConfig(method="RUCA", k=k,
+        ruca = fit_method(d, utility, (privacy,),
+                          ProjectionConfig(method="RUCA", k=k,
                                          privacy_weights=(rho_p,)))
-        mdr = fit_mdr(d, utility, privacy,
-                      ProjectionConfig(method="MDR", k=k))
+        mdr = fit_method(d, utility, (privacy,),
+                         ProjectionConfig(method="MDR", k=k))
         worst = max(worst, subspace_angle(ruca.w, mdr.w))
     report(5, worst < 1e-3,
            f"100 instances, worst principal angle {worst:.2e} rad "

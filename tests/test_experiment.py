@@ -12,7 +12,8 @@ from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
                                  MethodGrid, TradeoffPoint, _run_cell,
                                  config_from_json, config_to_json,
                                  emit_tradeoff_curve, performance,
-                                 read_tradeoff_csv, render_svg, run_sweep)
+                                 read_tradeoff_csv, read_tradeoff_points,
+                                 render_svg, run_sweep)
 from privproj.synthetic import tradeoff_bundle
 
 
@@ -256,6 +257,14 @@ class TestEmission:
             assert float(row["acc_u_mean"]) == point.acc_u_mean
             assert float(row["acc_p0_mean"]) == point.acc_p_means[0]
             assert float(row["perf@1"]) == point.performance[1.0]
+
+    def test_points_round_trip_through_csv(self, tmp_path):
+        first, _ = emit_tradeoff_curve(sample_points(), tmp_path / "a",
+                                       betas=(0.5, 1.0))
+        points = read_tradeoff_points(first)
+        assert points[-1].failed and math.isnan(points[-1].acc_u_mean)
+        second, _ = emit_tradeoff_curve(points, tmp_path / "b")
+        assert open(first, "rb").read() == open(second, "rb").read()
 
     def test_emission_deterministic(self, tmp_path):
         a_csv, a_svg = emit_tradeoff_curve(sample_points(), tmp_path / "a",

@@ -9,11 +9,11 @@ from privproj import linalg
 from privproj.data import Dataset, LabelSet
 from privproj.errors import (DimensionMismatch, InputError, InvalidK,
                              RankDeficient, WeightMismatch)
-from privproj.projections import (ProjectionConfig, ProjectionModel, fit_dca,
-                                  fit_mdr, fit_method, fit_pca, fit_random,
-                                  fit_ruca, load_model, model_from_json,
-                                  model_to_json, modified_gram_schmidt,
-                                  project, save_model, subspace_angle)
+from privproj.projections import (ProjectionConfig, ProjectionModel,
+                                  fit_method, fit_pca, fit_random, load_model,
+                                  model_from_json, model_to_json,
+                                  modified_gram_schmidt, project, save_model,
+                                  subspace_angle)
 from privproj.scatter import compute_scatter
 
 
@@ -39,16 +39,16 @@ class TestRucaDcaEquivalence:
     def test_zero_weights_bit_equal(self):
         d, util, priv = separated_instance(0)
         cfg = ProjectionConfig(method="RUCA", k=2, privacy_weights=(0.0,))
-        ruca = fit_ruca(d, util, [priv], cfg)
-        dca = fit_dca(d, util, ProjectionConfig(method="DCA", k=2))
+        ruca = fit_method(d, util, [priv], cfg)
+        dca = fit_method(d, util, (), ProjectionConfig(method="DCA", k=2))
         assert np.array_equal(ruca.w, dca.w)
         assert np.array_equal(ruca.eigenvalues, dca.eigenvalues)
         assert np.array_equal(ruca.feature_mean, dca.feature_mean)
 
     def test_empty_privacy_list_bit_equal(self):
         d, util, _ = separated_instance(1)
-        ruca = fit_ruca(d, util, [], ProjectionConfig(method="RUCA", k=3))
-        dca = fit_dca(d, util, ProjectionConfig(method="DCA", k=3))
+        ruca = fit_method(d, util, [], ProjectionConfig(method="RUCA", k=3))
+        dca = fit_method(d, util, (), ProjectionConfig(method="DCA", k=3))
         assert np.array_equal(ruca.w, dca.w)
 
     @given(st.integers(0, 10_000))
@@ -56,15 +56,15 @@ class TestRucaDcaEquivalence:
     def test_angle_below_1e9_fuzz(self, seed):
         d, util, priv = separated_instance(seed, c_u=3)
         cfg = ProjectionConfig(method="RUCA", k=2, privacy_weights=(0.0,))
-        ruca = fit_ruca(d, util, [priv], cfg)
-        dca = fit_dca(d, util, ProjectionConfig(method="DCA", k=2))
+        ruca = fit_method(d, util, [priv], cfg)
+        dca = fit_method(d, util, (), ProjectionConfig(method="DCA", k=2))
         assert subspace_angle(ruca.w, dca.w) < 1e-9
 
     def test_weight_count_checked(self):
         d, util, priv = separated_instance(2)
         with pytest.raises(WeightMismatch):
-            fit_ruca(d, util, [priv],
-                     ProjectionConfig(method="RUCA", k=1, privacy_weights=(1.0, 2.0)))
+            fit_method(d, util, [priv],
+                       ProjectionConfig(method="RUCA", k=1, privacy_weights=(1.0, 2.0)))
 
 
 class TestMdrLimit:
@@ -78,9 +78,9 @@ class TestMdrLimit:
         d, util, priv = separated_instance(3, m=5, n=160, c_u=2, c_p=7)
         s = compute_scatter(d, util)
         huge = 1e6 * np.trace(s.s_bar) / np.trace(compute_scatter(d, priv).s_b)
-        ruca = fit_ruca(d, util, [priv],
-                        ProjectionConfig(method="RUCA", k=1, privacy_weights=(huge,)))
-        mdr = fit_mdr(d, util, priv, ProjectionConfig(method="MDR", k=1))
+        ruca = fit_method(d, util, [priv],
+                          ProjectionConfig(method="RUCA", k=1, privacy_weights=(huge,)))
+        mdr = fit_method(d, util, [priv], ProjectionConfig(method="MDR", k=1))
         assert subspace_angle(ruca.w, mdr.w) < 1e-3
 
     @given(st.integers(0, 10_000))
@@ -90,12 +90,12 @@ class TestMdrLimit:
         # A small explicit rho keeps the late-grid angle floor (set by the
         # denominators' rho*I mismatch) well under the monotonicity slack.
         rho = 1e-9 * np.trace(compute_scatter(d, util).s_bar) / d.n_features
-        mdr = fit_mdr(d, util, priv, ProjectionConfig(method="MDR", k=1, rho=rho))
+        mdr = fit_method(d, util, [priv], ProjectionConfig(method="MDR", k=1, rho=rho))
         angles = []
         for weight in [1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6]:
-            ruca = fit_ruca(d, util, [priv],
-                            ProjectionConfig(method="RUCA", k=1, rho=rho,
-                                             privacy_weights=(weight,)))
+            ruca = fit_method(d, util, [priv],
+                              ProjectionConfig(method="RUCA", k=1, rho=rho,
+                                               privacy_weights=(weight,)))
             angles.append(subspace_angle(ruca.w, mdr.w))
         for earlier, later in zip(angles, angles[1:]):
             assert later <= earlier + 1e-6
@@ -104,7 +104,7 @@ class TestMdrLimit:
 class TestDiscriminantStructure:
     def test_two_class_single_dominant_eigenvalue(self):
         d, util, _ = separated_instance(4, c_u=2, m=6)
-        model = fit_dca(d, util, ProjectionConfig(method="DCA", k=6))
+        model = fit_method(d, util, (), ProjectionConfig(method="DCA", k=6))
         assert model.eigenvalues[0] > 0
         ratios = model.eigenvalues[1:] / model.eigenvalues[0]
         assert np.all(np.abs(ratios) < 1e-6)
@@ -115,8 +115,8 @@ class TestDiscriminantStructure:
         labels = np.repeat([0, 1], n // 2)
         x = rng.standard_normal((2, n))
         x[0, labels == 1] += 10.0
-        model = fit_dca(Dataset(x), LabelSet(labels, 2),
-                        ProjectionConfig(method="DCA", k=1))
+        model = fit_method(Dataset(x), LabelSet(labels, 2), (),
+                           ProjectionConfig(method="DCA", k=1))
         col = model.w[:, 0]
         assert abs(col[0]) / np.linalg.norm(col) > 0.99
 
@@ -125,15 +125,15 @@ class TestDiscriminantStructure:
         x = np.array([[1.0, -1.0, 2.0, -2.0],
                       [3.0, -3.0, -1.0, 1.0]])
         labels = LabelSet(np.array([0, 0, 1, 1]), 2)
-        model = fit_dca(Dataset(x), labels,
-                        ProjectionConfig(method="DCA", k=2, rho_prime=0.0))
+        model = fit_method(Dataset(x), labels, (),
+                           ProjectionConfig(method="DCA", k=2, rho_prime=0.0))
         np.testing.assert_allclose(model.eigenvalues, 0.0, atol=1e-12)
 
     def test_denominator_inflation_shrinks_top_eigenvalue(self):
         d, util, _ = separated_instance(6, c_u=3)
-        dca = fit_dca(d, util, ProjectionConfig(method="DCA", k=1))
-        ruca = fit_ruca(d, util, [util],
-                        ProjectionConfig(method="RUCA", k=1, privacy_weights=(5.0,)))
+        dca = fit_method(d, util, (), ProjectionConfig(method="DCA", k=1))
+        ruca = fit_method(d, util, [util],
+                          ProjectionConfig(method="RUCA", k=1, privacy_weights=(5.0,)))
         assert dca.eigenvalues[0] >= ruca.eigenvalues[0]
 
     @given(st.integers(0, 10_000), st.integers(2, 6))
@@ -142,7 +142,7 @@ class TestDiscriminantStructure:
         d, util, priv = separated_instance(seed, c_u=c_u, n=150)
         cfg = ProjectionConfig(method="RUCA", k=d.n_features, rho_prime=0.0,
                                privacy_weights=(2.0,))
-        model = fit_ruca(d, util, [priv], cfg)
+        model = fit_method(d, util, [priv], cfg)
         top = model.eigenvalues[0]
         assert np.count_nonzero(model.eigenvalues > 1e-8 * top) <= c_u - 1
 
@@ -151,7 +151,7 @@ class TestDiscriminantStructure:
     def test_pencil_constraint(self, seed):
         d, util, priv = separated_instance(seed, c_u=3)
         cfg = ProjectionConfig(method="RUCA", k=2, privacy_weights=(3.0,))
-        model = fit_ruca(d, util, [priv], cfg)
+        model = fit_method(d, util, [priv], cfg)
         s_u = compute_scatter(d, util)
         s_p = compute_scatter(d, priv)
         denom = (s_u.s_bar + 3.0 * s_p.s_b
@@ -161,7 +161,7 @@ class TestDiscriminantStructure:
 
     def test_mdr_pencil_constraint(self):
         d, util, priv = separated_instance(7)
-        model = fit_mdr(d, util, priv, ProjectionConfig(method="MDR", k=2))
+        model = fit_method(d, util, [priv], ProjectionConfig(method="MDR", k=2))
         denom = (compute_scatter(d, priv).s_b
                  + model.config.rho * np.eye(d.n_features))
         gram = model.w.T @ denom @ model.w
@@ -177,8 +177,8 @@ class TestMdr:
         x = np.column_stack([a, -a, b, -b])
         priv = LabelSet(np.array([0, 0, 1, 1]), 2)
         util = LabelSet(np.array([0, 1, 0, 1]), 2)
-        model = fit_mdr(Dataset(x), util, priv,
-                        ProjectionConfig(method="MDR", k=2, rho=2.0, rho_prime=0.0))
+        model = fit_method(Dataset(x), util, [priv],
+                           ProjectionConfig(method="MDR", k=2, rho=2.0, rho_prime=0.0))
         s_bu = compute_scatter(Dataset(x), util).s_b
         expected = linalg.sym_eig(s_bu).values / 2.0
         np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-12, atol=1e-12)
@@ -193,8 +193,9 @@ class TestMdr:
         x = rng.standard_normal((2, n)) * 0.2
         x[0] += 6.0 * (2.0 * util_side - 1.0)
         x[1] += 6.0 * (2.0 * priv_side - 1.0)
-        model = fit_mdr(Dataset(x), LabelSet(util_side, 2), LabelSet(priv_side, 2),
-                        ProjectionConfig(method="MDR", k=1))
+        model = fit_method(Dataset(x), LabelSet(util_side, 2),
+                           [LabelSet(priv_side, 2)],
+                           ProjectionConfig(method="MDR", k=1))
         privacy_axis = np.array([[0.0], [1.0]])
         assert subspace_angle(model.w, privacy_axis) > math.radians(89.0)
 
@@ -276,7 +277,7 @@ class TestProject:
 
     def test_uses_training_mean_not_test_mean(self):
         d, util, _ = separated_instance(12)
-        model = fit_dca(d, util, ProjectionConfig(method="DCA", k=1))
+        model = fit_method(d, util, (), ProjectionConfig(method="DCA", k=1))
         shifted = Dataset(d.x + 100.0)
         z_base = project(model, d)
         z_shift = project(model, shifted)
@@ -321,15 +322,15 @@ class TestDeterminismAndSerialization:
     def test_fit_bit_identical(self):
         d, util, priv = separated_instance(15)
         cfg = ProjectionConfig(method="RUCA", k=2, privacy_weights=(4.0,))
-        a = fit_ruca(d, util, [priv], cfg)
-        b = fit_ruca(Dataset(d.x.copy()), util, [priv], cfg)
+        a = fit_method(d, util, [priv], cfg)
+        b = fit_method(Dataset(d.x.copy()), util, [priv], cfg)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_json_round_trip_bit_exact(self):
         d, util, priv = separated_instance(16)
-        model = fit_ruca(d, util, [priv],
-                         ProjectionConfig(method="RUCA", k=2, privacy_weights=(2.5,)))
+        model = fit_method(d, util, [priv],
+                           ProjectionConfig(method="RUCA", k=2, privacy_weights=(2.5,)))
         restored = model_from_json(model_to_json(model))
         assert np.array_equal(restored.w, model.w)
         assert np.array_equal(restored.eigenvalues, model.eigenvalues)
@@ -338,7 +339,7 @@ class TestDeterminismAndSerialization:
 
     def test_file_round_trip_and_projection_equality(self, tmp_path):
         d, util, _ = separated_instance(17)
-        model = fit_dca(d, util, ProjectionConfig(method="DCA", k=3))
+        model = fit_method(d, util, (), ProjectionConfig(method="DCA", k=3))
         path = tmp_path / "model.json"
         save_model(model, path)
         restored = load_model(path)
@@ -365,6 +366,13 @@ class TestDispatch:
             cfg = ProjectionConfig(method=method, k=2, privacy_weights=weights, seed=5)
             model = fit_method(d, util, [priv], cfg)
             assert model.w.shape == (d.n_features, 2)
+
+    def test_mdr_uses_first_privacy_labeling(self):
+        d, util, priv = separated_instance(20, c_p=3)
+        cfg = ProjectionConfig(method="MDR", k=2)
+        both = fit_method(d, util, [priv, util], cfg)
+        first = fit_method(d, util, [priv], cfg)
+        assert model_to_json(both) == model_to_json(first)
 
     def test_discriminant_requires_utility(self):
         d, _, _ = separated_instance(19)
