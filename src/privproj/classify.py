@@ -6,8 +6,9 @@ are bit-identical and results do not depend on evaluation order:
   KNN              majority vote among the k nearest training samples
                    (Euclidean); equal distances prefer the lower training
                    index, vote ties prefer the smallest class id.
-  NEAREST_CENTROID argmin over class-mean distances; ties prefer the
-                   smallest class id.
+  NEAREST_CENTROID 1-NN over the class means, with class j's mean as
+                   training sample j; the KNN tie rules then make equal
+                   distances prefer the smallest class id.
 
 Distances are computed as explicit (train - test)^2 sums over feature
 blocks — not via a matrix-product expansion — so results are independent
@@ -22,8 +23,9 @@ import numpy as np
 
 from .data import Dataset, LabelSet
 from .errors import DimensionMismatch, EmptyTrainClass, InputError, LengthMismatch
+from .scatter import class_means
 
-__all__ = ["ClassifierSpec", "AccuracyReport", "train_eval", "random_guess_baseline"]
+__all__ = ["ClassifierSpec", "AccuracyReport", "train_eval"]
 
 KINDS = ("KNN", "NEAREST_CENTROID")
 
@@ -78,14 +80,12 @@ def _chunk_size(m: int, n_train: int) -> int:
     return max(1, CHUNK_BUDGET // max(m * n_train, 1))
 
 
-def _predict_knn(train: Dataset, train_labels: LabelSet, test: Dataset,
-                 k: int) -> np.ndarray:
-    x_train, labels = train.x, train_labels.labels
-    c = train_labels.class_count
-    predictions = np.empty(test.n_samples, dtype=np.int64)
-    step = _chunk_size(train.n_features, train.n_samples)
-    for start in range(0, test.n_samples, step):
-        chunk = test.x[:, start:start + step]
+def _predict_knn(x_train: np.ndarray, labels: np.ndarray, c: int,
+                 x_test: np.ndarray, k: int) -> np.ndarray:
+    predictions = np.empty(x_test.shape[1], dtype=np.int64)
+    step = _chunk_size(x_train.shape[0], x_train.shape[1])
+    for start in range(0, x_test.shape[1], step):
+        chunk = x_test[:, start:start + step]
         dist = _sq_distances(x_train, chunk)
         # Stable ascending sort: equal distances keep the lower train index.
         neighbors = np.argsort(dist, axis=0, kind="stable")[:k]
@@ -96,22 +96,6 @@ def _predict_knn(train: Dataset, train_labels: LabelSet, test: Dataset,
             counts[row, cols] += 1
         # argmax returns the first maximum: vote ties go to the smallest class.
         predictions[start:start + step] = np.argmax(counts, axis=0)
-    return predictions
-
-
-def _predict_centroid(train: Dataset, train_labels: LabelSet,
-                      test: Dataset) -> np.ndarray:
-    c = train_labels.class_count
-    centroids = np.empty((train.n_features, c))
-    for j in range(c):
-        centroids[:, j] = train.x[:, train_labels.labels == j].mean(axis=1)
-    predictions = np.empty(test.n_samples, dtype=np.int64)
-    step = _chunk_size(train.n_features, c)
-    for start in range(0, test.n_samples, step):
-        chunk = test.x[:, start:start + step]
-        dist = _sq_distances(centroids, chunk)
-        # argmin returns the first minimum: ties go to the smallest class.
-        predictions[start:start + step] = np.argmin(dist, axis=0)
     return predictions
 
 
@@ -131,22 +115,21 @@ def train_eval(train: Dataset, train_labels: LabelSet, test: Dataset,
     if np.any(train_labels.counts() == 0):
         raise EmptyTrainClass("a training class has no samples")
 
+    c = train_labels.class_count
     if spec.kind == "KNN":
         if spec.k_neighbors > train.n_samples:
             raise InputError(
                 f"k_neighbors={spec.k_neighbors} exceeds {train.n_samples} "
                 f"training samples")
-        predictions = _predict_knn(train, train_labels, test, spec.k_neighbors)
+        predictions = _predict_knn(train.x, train_labels.labels, c, test.x,
+                                   spec.k_neighbors)
     else:
-        predictions = _predict_centroid(train, train_labels, test)
+        # Training sample j is the mean of class j, so both tie rules pick
+        # the smallest class.
+        predictions = _predict_knn(class_means(train, train_labels),
+                                   np.arange(c), c, test.x, 1)
 
-    c = train_labels.class_count
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (test_labels.labels, predictions), 1)
     return AccuracyReport(accuracy=float(np.trace(confusion) / test.n_samples),
                           confusion=confusion, n_test=test.n_samples)
-
-
-def random_guess_baseline(labels: LabelSet) -> float:
-    """Majority-class rate: the accuracy of always guessing the biggest class."""
-    return float(labels.counts().max() / labels.n_samples)

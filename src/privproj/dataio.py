@@ -30,10 +30,10 @@ from .errors import InputError, ParseError, UnknownCategory
 from .seeds import mix, rng_from
 
 __all__ = [
-    "ColumnSchema", "TableSchema", "SplitSpec", "LoadedCsv",
+    "ColumnSchema", "TableSchema", "LoadedCsv",
     "schema_from_json", "load_schema", "load_csv", "recode_census_marital",
     "ADULT_COLUMNS", "normalize_adult_csv",
-    "balance_indices", "balance_classes", "joint_labels", "subsample",
+    "balance_indices", "joint_labels", "subsample",
     "stratified_holdout", "save_dataset_csv", "load_dataset_csv",
     "save_labels_csv", "load_labels_csv",
 ]
@@ -274,7 +274,7 @@ def normalize_adult_csv(src_path, dst_path) -> int:
 def balance_indices(l: LabelSet, seed: int) -> np.ndarray:
     """Indices of a per-class uniform undersample down to the smallest class
     count, in ascending (original) order. Deterministic for a fixed seed."""
-    l.require_all_classes("balance_classes")
+    l.require_all_classes("balance_indices")
     counts = l.counts()
     target = int(counts.min())
     rng = rng_from(seed, "balance")
@@ -285,11 +285,6 @@ def balance_indices(l: LabelSet, seed: int) -> np.ndarray:
             positions = rng.choice(positions, size=target, replace=False)
         kept.append(positions)
     return np.sort(np.concatenate(kept))
-
-
-def balance_classes(d: Dataset, l: LabelSet, seed: int) -> tuple[Dataset, LabelSet]:
-    indices = balance_indices(l, seed)
-    return d.take(indices), l.take(indices)
 
 
 def joint_labels(label_sets: list[LabelSet] | tuple[LabelSet, ...]) -> LabelSet:
@@ -307,30 +302,18 @@ def joint_labels(label_sets: list[LabelSet] | tuple[LabelSet, ...]) -> LabelSet:
     return LabelSet(combo, total)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Per-iteration subsampling policy for repeated evaluation."""
-
-    seed: int
-    fraction: float
-
-    def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-def subsample(d: Dataset, l: list[LabelSet] | tuple[LabelSet, ...],
-              spec: SplitSpec, iteration: int) -> tuple[Dataset, list[LabelSet]]:
-    """floor(fraction*n) samples drawn without replacement; the draw depends
-    only on (spec.seed, iteration), never on call order."""
+def subsample(d: Dataset, l: list[LabelSet] | tuple[LabelSet, ...], seed: int,
+              fraction: float, iteration: int) -> tuple[Dataset, list[LabelSet]]:
+    """floor(fraction*n) samples drawn without replacement, in ascending
+    order, with the labelings in l taken at the same indices. The draw
+    depends only on (seed, iteration), never on call order."""
     n = d.n_samples
-    size = int(math.floor(spec.fraction * n))
-    if size < 1:
-        raise InputError(f"fraction {spec.fraction} keeps zero of {n} samples")
+    size = int(math.floor(fraction * n))
+    if not 1 <= size <= n:
+        raise InputError(f"fraction {fraction} keeps {size} of {n} samples")
     if size == n:
         return d, list(l)
-    rng = rng_from(mix(spec.seed, iteration))
+    rng = rng_from(mix(seed, iteration))
     indices = np.sort(rng.choice(n, size=size, replace=False))
     return d.take(indices), [ls.take(indices) for ls in l]
 

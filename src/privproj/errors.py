@@ -5,6 +5,13 @@ configuration; CLI exit code 2) and ``NumericalError`` (a computation that
 was attempted but failed; CLI exit code 1).
 """
 
+__all__ = [
+    "PrivprojError", "InputError", "NumericalError",
+    "NotPositiveDefinite", "NoConvergence", "RankDeficient",
+    "InvalidK", "LengthMismatch", "EmptyClass", "WeightMismatch",
+    "DimensionMismatch", "EmptyTrainClass", "ParseError", "UnknownCategory",
+]
+
 
 class PrivprojError(Exception):
     pass

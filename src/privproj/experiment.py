@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
-from .dataio import SplitSpec, subsample
+from .dataio import subsample
 from .errors import InputError, PrivprojError
 from .projections import METHODS, ProjectionConfig, fit_method, project
 from .seeds import mix
@@ -176,21 +176,21 @@ def _run_cell(bundle: DataBundle, method: str, k: int,
     RUCA row at zero weights is identical to the DCA row); only the fit's
     own randomness is salted with (method, k, weights).
     """
-    split = SplitSpec(seed=mix(cfg.seed or 0, "subsample"),
-                      fraction=cfg.fraction)
+    split_seed = mix(cfg.seed or 0, "subsample")
     cell_seed = mix(cfg.seed or 0, method, k, *weights)
     all_labels = [bundle.train_utility, *bundle.train_privacy]
     acc_u = np.empty(cfg.iterations)
     acc_p = np.empty((bundle.n_privacy, cfg.iterations))
     for it in range(cfg.iterations):
-        sub_train, sub_labels = subsample(bundle.train, all_labels, split, it)
+        sub_train, sub_labels = subsample(bundle.train, all_labels, split_seed,
+                                          cfg.fraction, it)
         utility, privacy = sub_labels[0], tuple(sub_labels[1:])
         if method == FULL_BASELINE:
             train_z, test_z = sub_train, bundle.test
         else:
             pc = ProjectionConfig(
                 method=method, k=k, rho=cfg.rho, rho_prime=cfg.rho_prime,
-                privacy_weights=weights if method == "RUCA" else (),
+                privacy_weights=weights,
                 seed=mix(cell_seed, "fit", it) if method == "RANDOM" else None)
             model = fit_method(sub_train, utility, privacy, pc)
             train_z = project(model, sub_train)
@@ -285,7 +285,7 @@ def config_from_json(text: str) -> ExperimentConfig:
             rho=doc.get("rho"), rho_prime=doc.get("rho_prime"))
     except KeyError as exc:
         raise InputError(f"config JSON missing key: {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"config JSON malformed: {exc}") from exc
 
 

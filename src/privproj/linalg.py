@@ -12,11 +12,14 @@ input and are part of the public contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from privproj.errors import InputError, InvalidK, NoConvergence, NotPositiveDefinite
+
+__all__ = ["EigenPairs", "sym_eig", "generalized_eig"]
 
 # Positive-definiteness pivot threshold: dim * PIVOT_RTOL * max_norm(b).
 PIVOT_RTOL = 1e-14
@@ -104,15 +107,10 @@ def solve_lower_transpose(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-_ROUNDS_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-
+@functools.cache
 def _rotation_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     # Round-robin (circle method) schedule: every index pair appears exactly
     # once per sweep, pairs within a round are disjoint.
-    cached = _ROUNDS_CACHE.get(n)
-    if cached is not None:
-        return cached
     players = list(range(n)) + ([-1] if n % 2 else [])
     m = len(players)
     rest = players[1:]
@@ -128,7 +126,6 @@ def _rotation_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
             qs.append(max(x, y))
         if ps:
             rounds.append((np.asarray(ps), np.asarray(qs)))
-    _ROUNDS_CACHE[n] = rounds
     return rounds
 
 

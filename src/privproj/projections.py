@@ -29,7 +29,7 @@ from . import linalg
 from .data import Dataset, LabelSet
 from .errors import (DimensionMismatch, InputError, InvalidK, RankDeficient,
                      WeightMismatch)
-from .scatter import ScatterSet, compute_scatter
+from .scatter import compute_scatter, total_scatter
 from .seeds import rng_from
 
 __all__ = [
@@ -55,7 +55,9 @@ RANDOM_RETRIES = 3
 class ProjectionConfig:
     """Method selection plus regularization. rho/rho_prime left as None are
     resolved from the training data at fit time (and stored resolved in the
-    fitted model, so serialized models rerun identically)."""
+    fitted model, so serialized models rerun identically). Only RUCA uses
+    privacy weights; every other method drops them, so its model records
+    none."""
 
     method: str
     k: int
@@ -70,14 +72,17 @@ class ProjectionConfig:
         if int(self.k) != self.k or self.k < 1:
             raise InvalidK(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
-        if self.rho is not None and not self.rho > 0:
-            raise InputError(f"rho must be positive, got {self.rho!r}")
-        if self.rho_prime is not None and self.rho_prime < 0:
-            raise InputError(f"rho_prime must be >= 0, got {self.rho_prime!r}")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise InputError(f"rho must be positive and finite, got {self.rho!r}")
+        if self.rho_prime is not None and not 0 <= self.rho_prime < math.inf:
+            raise InputError(
+                f"rho_prime must be >= 0 and finite, got {self.rho_prime!r}")
         weights = tuple(float(w) for w in self.privacy_weights)
-        if any(w < 0 for w in weights):
-            raise InputError(f"privacy_weights must be >= 0, got {weights}")
-        object.__setattr__(self, "privacy_weights", weights)
+        if not all(0 <= w < math.inf for w in weights):
+            raise InputError(
+                f"privacy_weights must be >= 0 and finite, got {weights}")
+        object.__setattr__(self, "privacy_weights",
+                           weights if self.method == "RUCA" else ())
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))
 
@@ -142,13 +147,11 @@ def _fit_pencil(d: Dataset, utility: LabelSet,
 
     The denominator follows cfg.method: MDR takes the first privacy
     between-class scatter; DCA and RUCA take s_bar plus w_p·s_bp_p for each
-    non-zero RUCA weight. Zero-weight terms are skipped outright, so a
-    zero-weight RUCA fit takes the identical arithmetic path as DCA. DCA
-    ignores privacy labelings and weights and records empty weights.
+    non-zero weight (only a RUCA config has any). Zero-weight terms are
+    skipped outright, so a zero-weight RUCA fit takes the identical
+    arithmetic path as DCA.
     """
-    if cfg.method == "DCA":
-        cfg = replace(cfg, privacy_weights=())
-    elif cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
+    if cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
         raise WeightMismatch(
             f"{len(cfg.privacy_weights)} privacy weights for "
             f"{len(privacy)} privacy labelings")
@@ -175,9 +178,7 @@ def fit_pca(d: Dataset, cfg: ProjectionConfig) -> ProjectionModel:
     """Top-k eigenvectors of the total scatter; columns Euclidean-orthonormal."""
     if not 1 <= cfg.k <= d.n_features:
         raise InvalidK(f"k={cfg.k} out of range 1..{d.n_features}")
-    mean = d.x.mean(axis=1)
-    centered = d.x - mean[:, None]
-    s_bar = linalg.symmetrize(centered @ centered.T)
+    mean, s_bar = total_scatter(d)
     pairs = linalg.sym_eig(s_bar)
     return ProjectionModel(w=pairs.vectors[:, :cfg.k],
                            eigenvalues=pairs.values[:cfg.k],

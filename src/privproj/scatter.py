@@ -49,17 +49,12 @@ def _check_psd(name: str, s: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ScatterSet:
-    """Total/between/within scatter of one labeling, plus the means behind them.
-
-    class_means has shape (m, c): column j is the mean of class j.
-    """
+    """Total/between/within scatter of one labeling, plus the mean behind them."""
 
     s_bar: np.ndarray
     s_b: np.ndarray
     s_w: np.ndarray
     mean: np.ndarray
-    class_means: np.ndarray
-    class_counts: np.ndarray
 
     def __post_init__(self):
         m = self.mean.shape[0]
@@ -71,10 +66,6 @@ class ScatterSet:
                 raise InputError(f"{name} is not exactly symmetric")
             if not np.all(np.isfinite(s)):
                 raise InputError(f"{name} contains non-finite entries")
-        c = self.class_counts.shape[0]
-        if self.class_means.shape != (m, c):
-            raise InputError(
-                f"class_means must have shape ({m}, {c}), got {self.class_means.shape}")
         residual = linalg.max_norm(self.s_bar - (self.s_b + self.s_w))
         if residual > ADDITIVITY_RTOL * linalg.max_norm(self.s_bar):
             raise InputError(
@@ -82,13 +73,20 @@ class ScatterSet:
         for name in ("s_bar", "s_b", "s_w"):
             _check_psd(name, getattr(self, name))
 
-    @property
-    def n_features(self) -> int:
-        return self.mean.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.class_counts.shape[0]
+def total_scatter(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, s_bar): the feature mean and the center-adjusted total scatter."""
+    mean = d.x.mean(axis=1)
+    centered = d.x - mean[:, None]
+    return mean, linalg.symmetrize(centered @ centered.T)
+
+
+def class_means(d: Dataset, l: LabelSet) -> np.ndarray:
+    """(m, c) matrix whose column j is the mean of class j's samples."""
+    means = np.empty((d.n_features, l.class_count))
+    for j in range(l.class_count):
+        means[:, j] = d.x[:, l.labels == j].mean(axis=1)
+    return means
 
 
 def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
@@ -97,34 +95,23 @@ def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
         raise LengthMismatch(
             f"labels cover {l.n_samples} samples but dataset has {d.n_samples}")
     l.require_all_classes("compute_scatter")
-    x = d.x
-    labels = l.labels
-    c = l.class_count
+    mean, s_bar = total_scatter(d)
+    means = class_means(d, l)
 
-    mean = x.mean(axis=1)
-    counts = l.counts()
-    class_means = np.empty((d.n_features, c))
-    for j in range(c):
-        class_means[:, j] = x[:, labels == j].mean(axis=1)
-
-    centered = x - mean[:, None]
-    s_bar = linalg.symmetrize(centered @ centered.T)
-
-    between = (class_means - mean[:, None]) * np.sqrt(counts)
+    between = (means - mean[:, None]) * np.sqrt(l.counts())
     s_b = linalg.symmetrize(between @ between.T)
 
-    within = x - class_means[:, labels]
+    within = d.x - means[:, l.labels]
     s_w = linalg.symmetrize(within @ within.T)
 
-    return ScatterSet(s_bar=s_bar, s_b=s_b, s_w=s_w, mean=mean,
-                      class_means=class_means, class_counts=counts)
+    return ScatterSet(s_bar=s_bar, s_b=s_b, s_w=s_w, mean=mean)
 
 
 def rank_bound_check(s: ScatterSet) -> int:
     """Numerical rank of the between-class scatter (eigenvalues above a
-    dimension-scaled floor). Always at most n_classes - 1."""
+    dimension-scaled floor). Always at most the class count minus one."""
     norm = linalg.max_norm(s.s_b)
     if norm == 0.0:
         return 0
     values = linalg.sym_eig(s.s_b).values
-    return int(np.count_nonzero(values > s.n_features * RANK_RTOL * norm))
+    return int(np.count_nonzero(values > s.mean.shape[0] * RANK_RTOL * norm))

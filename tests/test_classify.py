@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import class_assignment
-from privproj.classify import (AccuracyReport, ClassifierSpec,
-                               random_guess_baseline, train_eval)
+from privproj.classify import AccuracyReport, ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
 from privproj.errors import DimensionMismatch, InputError
 
@@ -22,6 +21,17 @@ def knn_brute_force(x_train, labels, c, x_test, k):
     return np.array(predictions)
 
 
+def centroid_brute_force(x_train, labels, c, x_test):
+    """Reference implementation: per-point loops over the class means, the
+    first (smallest) class winning a distance tie."""
+    means = [x_train[:, labels == j].mean(axis=1) for j in range(c)]
+    predictions = []
+    for t in range(x_test.shape[1]):
+        dist = [float(np.sum((means[j] - x_test[:, t]) ** 2)) for j in range(c)]
+        predictions.append(dist.index(min(dist)))
+    return np.array(predictions)
+
+
 def generic_problem(seed, m=4, n_train=60, n_test=40, c=3):
     rng = np.random.default_rng(seed)
     train_labels = class_assignment(rng, n_train, c)
@@ -30,6 +40,24 @@ def generic_problem(seed, m=4, n_train=60, n_test=40, c=3):
     x_train = means[:, train_labels] + rng.standard_normal((m, n_train))
     x_test = means[:, test_labels] + rng.standard_normal((m, n_test))
     return (Dataset(x_train), LabelSet(train_labels, c),
+            Dataset(x_test), LabelSet(test_labels, c))
+
+
+def tie_problem(seed, m=2, n_pairs=10, n_test=40, c=3):
+    """Small-integer data full of exact distance ties. Each class is
+    symmetric about an integer centroid, so class means are exact, and
+    integer test points are often equidistant from several centroids (and
+    training points); two classes may even share a centroid."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.integers(-1, 2, size=(m, c))
+    offsets = rng.integers(-1, 2, size=(m, n_pairs))
+    x_train = np.concatenate([centroids[:, [j]] + sign * offsets
+                              for j in range(c) for sign in (1, -1)], axis=1)
+    train_labels = np.repeat(np.arange(c), 2 * n_pairs)
+    perm = rng.permutation(train_labels.size)
+    x_test = rng.integers(-2, 3, size=(m, n_test))
+    test_labels = rng.integers(0, c, n_test)
+    return (Dataset(x_train[:, perm]), LabelSet(train_labels[perm], c),
             Dataset(x_test), LabelSet(test_labels, c))
 
 
@@ -82,16 +110,24 @@ class TestKnn:
         with pytest.raises(InputError):
             train_eval(train, tl, test, sl, ClassifierSpec("KNN", 7))
 
-    @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5]))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_brute_force(self, seed, k):
-        train, tl, test, sl = generic_problem(seed)
-        report = train_eval(train, tl, test, sl, ClassifierSpec("KNN", k))
-        want = knn_brute_force(train.x, tl.labels, tl.class_count, test.x, k)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5]),
+           st.sampled_from(["KNN", "NEAREST_CENTROID"]),
+           st.sampled_from([generic_problem, tie_problem]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force(self, seed, k, kind, problem):
+        train, tl, test, sl = problem(seed)
+        report = train_eval(train, tl, test, sl, ClassifierSpec(kind, k))
+        if kind == "KNN":
+            want = knn_brute_force(train.x, tl.labels, tl.class_count, test.x, k)
+        else:
+            want = centroid_brute_force(train.x, tl.labels, tl.class_count, test.x)
         got_correct = int(np.trace(report.confusion))
         assert got_correct == int(np.sum(want == sl.labels))
         row_sums = report.confusion.sum(axis=1)
         assert np.array_equal(row_sums, sl.counts())
+        want_confusion = np.zeros_like(report.confusion)
+        np.add.at(want_confusion, (sl.labels, want), 1)
+        assert np.array_equal(report.confusion, want_confusion)
 
 
 class TestNearestCentroid:
@@ -149,16 +185,3 @@ class TestInvariances:
         with pytest.raises(DimensionMismatch):
             train_eval(train, tl, Dataset(np.zeros((9, 4))),
                        LabelSet(np.array([0, 1, 0, 1]), 3), ClassifierSpec())
-
-
-class TestBaseline:
-    def test_balanced_two_class(self):
-        assert random_guess_baseline(LabelSet(np.array([0, 1, 0, 1]), 2)) == 0.5
-
-    def test_balanced_21_class(self):
-        labels = LabelSet(np.tile(np.arange(21), 4), 21)
-        assert abs(random_guess_baseline(labels) - 1 / 21) < 1e-12
-
-    def test_majority_rate(self):
-        labels = LabelSet(np.array([0] * 9 + [1], dtype=np.int64), 2)
-        assert random_guess_baseline(labels) == 0.9

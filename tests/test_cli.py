@@ -248,6 +248,17 @@ class TestFitProjectEvaluate:
         assert doc["method"] == "RUCA"
         assert doc["privacy_weights"] == [4.0]
 
+    def test_fit_mdr_records_no_privacy_weights(self, tmp_path, bundle_files,
+                                                capsys):
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--data", str(bundle_files["train_data"]),
+                     "--utility-labels", str(bundle_files["train_utility"]),
+                     "--privacy-labels", str(bundle_files["train_privacy"]),
+                     "--method", "MDR", "--k", "1",
+                     "--privacy-weights", "3",
+                     "--out", str(model_path)]) == 0
+        assert json.loads(model_path.read_text())["privacy_weights"] == []
+
 
 class TestSweep:
     def test_minimal_sweep_produces_three_files(self, tmp_path,
@@ -323,6 +334,12 @@ class TestSweep:
         config = tmp_path / "config.json"
         config.write_text("{broken")
         assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 2
+        # Values json parses but the config cannot convert.
+        for overrides in ({"methods": [{"method": "PCA", "k_values": ["a"]}]},
+                          {"iterations": float("inf")}):
+            config = write_config(tmp_path / "config.json", **overrides)
+            assert main(sweep_args(bundle_files, config,
+                                   tmp_path / "out")) == 2
 
     def test_all_cells_failing_exits_1(self, tmp_path, bundle_files,
                                        capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from privproj import dataio
 from privproj.data import Dataset, LabelSet
 from privproj.errors import InputError, ParseError, UnknownCategory
-from privproj.dataio import (ColumnSchema, SplitSpec, TableSchema,
-                             balance_classes, balance_indices, joint_labels,
-                             load_csv, load_dataset_csv, load_labels_csv,
+from privproj.dataio import (ColumnSchema, TableSchema, balance_indices,
+                             joint_labels, load_csv, load_dataset_csv,
+                             load_labels_csv,
                              recode_census_marital, save_dataset_csv,
                              save_labels_csv, schema_from_json,
                              stratified_holdout, subsample)
@@ -150,14 +150,16 @@ class TestBalance:
     def test_already_balanced_keeps_everything(self):
         d = Dataset(np.arange(8, dtype=float).reshape(2, 4))
         l = LabelSet(np.array([0, 1, 0, 1]), 2)
-        bd, bl = balance_classes(d, l, seed=3)
+        idx = balance_indices(l, seed=3)
+        bd, bl = d.take(idx), l.take(idx)
         assert np.array_equal(bd.x, d.x)
         assert np.array_equal(bl.labels, l.labels)
 
     def test_undersamples_to_min(self):
         labels = LabelSet(np.array([0] * 10 + [1] * 4), 2)
         d = Dataset(np.arange(14, dtype=float)[None, :])
-        bd, bl = balance_classes(d, labels, seed=0)
+        idx = balance_indices(labels, seed=0)
+        bd, bl = d.take(idx), labels.take(idx)
         assert np.array_equal(bl.counts(), [4, 4])
         # kept samples appear in their original order
         assert np.all(np.diff(bd.x[0]) > 0)
@@ -192,27 +194,25 @@ class TestSubsample:
 
     def test_fraction_one_identity(self):
         d, l = self._bundle()
-        spec = SplitSpec(seed=1, fraction=1.0)
-        sd, sl = subsample(d, [l], spec, iteration=7)
+        sd, sl = subsample(d, [l], seed=1, fraction=1.0, iteration=7)
         assert np.array_equal(sd.x, d.x)
 
     def test_floor_of_fraction(self):
         d, l = self._bundle(n=10086)
-        sd, _ = subsample(d, [l], SplitSpec(seed=1, fraction=0.1), iteration=0)
+        sd, _ = subsample(d, [l], seed=1, fraction=0.1, iteration=0)
         assert sd.n_samples == 1008
 
     def test_iterations_differ_but_reproduce(self):
         d, l = self._bundle()
-        spec = SplitSpec(seed=9, fraction=0.5)
-        a1, _ = subsample(d, [l], spec, iteration=0)
-        a2, _ = subsample(d, [l], spec, iteration=0)
-        b, _ = subsample(d, [l], spec, iteration=1)
+        a1, _ = subsample(d, [l], seed=9, fraction=0.5, iteration=0)
+        a2, _ = subsample(d, [l], seed=9, fraction=0.5, iteration=0)
+        b, _ = subsample(d, [l], seed=9, fraction=0.5, iteration=1)
         assert np.array_equal(a1.x, a2.x)
         assert not np.array_equal(a1.x, b.x)
 
     def test_labels_follow_samples(self):
         d, l = self._bundle()
-        sd, (sl,) = subsample(d, [l], SplitSpec(seed=2, fraction=0.3), iteration=4)
+        sd, (sl,) = subsample(d, [l], seed=2, fraction=0.3, iteration=4)
         np.testing.assert_array_equal(sl.labels, sd.x[0].astype(np.int64) % 2)
 
 

@@ -27,12 +27,28 @@ class TestConfig:
             ProjectionConfig(method="PCA", k=0)
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(InputError):
-            ProjectionConfig(method="RUCA", k=1, privacy_weights=(-1.0,))
+        for weight in (-1.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                ProjectionConfig(method="RUCA", k=1, privacy_weights=(weight,))
 
     def test_rejects_zero_rho(self):
-        with pytest.raises(InputError):
-            ProjectionConfig(method="DCA", k=1, rho=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                ProjectionConfig(method="DCA", k=1, rho=bad)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                ProjectionConfig(method="DCA", k=1, rho_prime=bad)
+
+    def test_only_ruca_keeps_privacy_weights(self):
+        d, util, priv = separated_instance(0)
+        for method in ("PCA", "DCA", "MDR"):
+            model = fit_method(d, util, [priv], ProjectionConfig(
+                method=method, k=1, privacy_weights=(3.0,)))
+            assert model.config.privacy_weights == ()
+            assert '"privacy_weights": [],' in model_to_json(model)
+        ruca = fit_method(d, util, [priv], ProjectionConfig(
+            method="RUCA", k=1, privacy_weights=(3.0,)))
+        assert ruca.config.privacy_weights == (3.0,)
 
 
 class TestRucaDcaEquivalence:
