@@ -128,10 +128,10 @@ def cmd_project(args) -> int:
 
 def cmd_evaluate(args) -> int:
     spec = ClassifierSpec(kind=args.classifier, k_neighbors=args.k_neighbors)
-    report = train_eval(load_dataset_csv(args.train_data),
-                        load_labels_csv(args.train_labels),
-                        load_dataset_csv(args.test_data),
-                        load_labels_csv(args.test_labels), spec)
+    report, = train_eval(load_dataset_csv(args.train_data),
+                         (load_labels_csv(args.train_labels),),
+                         load_dataset_csv(args.test_data),
+                         (load_labels_csv(args.test_labels),), spec)
     print(json.dumps({
         "accuracy": report.accuracy,
         "n_test": report.n_test,

@@ -45,8 +45,9 @@ SCORED_PRIVACY_MODES = ("first", "max")
 class MethodGrid:
     """One method's grid: every k in k_values crossed with every weight row.
 
-    A weight row assigns one non-negative weight per privacy task; methods
-    that take no weights use the single empty row."""
+    A weight row assigns one non-negative weight per privacy task. Only
+    RUCA takes weights; every other method has the single empty row, since
+    a row there would only repeat the same fit under a label it ignores."""
 
     method: str
     k_values: tuple[int, ...]
@@ -61,6 +62,9 @@ class MethodGrid:
         rows = tuple(tuple(float(w) for w in row) for row in self.weight_rows)
         if not rows:
             raise InputError("weight_rows must not be empty; use ((),)")
+        if self.method != "RUCA" and rows != ((),):
+            raise InputError(f"{self.method} takes no privacy weights; its "
+                             f"weight_rows must be ((),), got {rows}")
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "weight_rows", rows)
 
@@ -174,7 +178,9 @@ def _run_cell(bundle: DataBundle, method: str, k: int,
 
     Iteration subsamples are shared across cells (paired comparisons: the
     RUCA row at zero weights is identical to the DCA row); only the fit's
-    own randomness is salted with (method, k, weights).
+    own randomness is salted with (method, k, weights). Each iteration's
+    projection is scored by one `train_eval` call over (utility,
+    *privacy): KNN neighbours are found once and shared by every labeling.
     """
     split_seed = mix(cfg.seed or 0, "subsample")
     cell_seed = mix(cfg.seed or 0, method, k, *weights)
@@ -195,12 +201,11 @@ def _run_cell(bundle: DataBundle, method: str, k: int,
             model = fit_method(sub_train, utility, privacy, pc)
             train_z = project(model, sub_train)
             test_z = project(model, bundle.test)
-        acc_u[it] = train_eval(train_z, utility, test_z, bundle.test_utility,
-                               cfg.classifier).accuracy
-        for t in range(bundle.n_privacy):
-            acc_p[t, it] = train_eval(train_z, privacy[t], test_z,
-                                      bundle.test_privacy[t],
-                                      cfg.classifier).accuracy
+        reports = train_eval(train_z, (utility, *privacy), test_z,
+                             (bundle.test_utility, *bundle.test_privacy),
+                             cfg.classifier)
+        acc_u[it] = reports[0].accuracy
+        acc_p[:, it] = [report.accuracy for report in reports[1:]]
     return acc_u, acc_p
 
 

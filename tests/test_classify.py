@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import class_assignment
+from privproj import classify
 from privproj.classify import AccuracyReport, ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
-from privproj.errors import DimensionMismatch, InputError
+from privproj.errors import (DimensionMismatch, EmptyTrainClass, InputError,
+                             LengthMismatch)
 
 
 def knn_brute_force(x_train, labels, c, x_test, k):
@@ -19,6 +21,21 @@ def knn_brute_force(x_train, labels, c, x_test, k):
         counts = [votes.count(j) for j in range(c)]
         predictions.append(int(np.argmax(counts)))
     return np.array(predictions)
+
+
+def argsort_neighbors(x_train, x_test, k):
+    """Reference selection: the first k rows of a stable ascending argsort of
+    the whole (n_train, n_test) distance matrix, so equal distances keep the
+    lower training index. Returned sorted by index within each column."""
+    dist = classify._sq_distances(x_train, x_test)
+    return np.sort(np.argsort(dist, axis=0, kind="stable")[:k], axis=0)
+
+
+def vote_reference(neighbors, labels, c):
+    """Majority class of each column of neighbour indices, the smallest
+    class winning a vote tie."""
+    return np.array([int(np.argmax(np.bincount(labels[col], minlength=c)))
+                     for col in neighbors.T])
 
 
 def centroid_brute_force(x_train, labels, c, x_test):
@@ -61,6 +78,36 @@ def tie_problem(seed, m=2, n_pairs=10, n_test=40, c=3):
             Dataset(x_test), LabelSet(test_labels, c))
 
 
+def bits_problem(seed, m=5, n_train=45, n_test=40, c=2):
+    """0/1 features like the bit-encoded census columns: squared distances
+    are Hamming distances 0..m, so ties straddle the k-th distance."""
+    rng = np.random.default_rng(seed)
+    return (Dataset(rng.integers(0, 2, size=(m, n_train))),
+            LabelSet(class_assignment(rng, n_train, c), c),
+            Dataset(rng.integers(0, 2, size=(m, n_test))),
+            LabelSet(rng.integers(0, c, n_test), c))
+
+
+def rank_deficient_problem(seed, m=4, n_distinct=10, n_train=30, n_test=30,
+                           c=3):
+    """Training columns drawn with repetition from a few distinct points and
+    a constant first feature: rank-deficient data whose copies tie exactly
+    (and may carry different labels)."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(-2, 3, size=(m, n_distinct)).astype(float)
+    x_train = distinct[:, rng.integers(0, n_distinct, n_train)]
+    x_test = rng.integers(-2, 3, size=(m, n_test)).astype(float)
+    x_train[0], x_test[0] = 1.5, 1.5
+    return (Dataset(x_train), LabelSet(class_assignment(rng, n_train, c), c),
+            Dataset(x_test), LabelSet(rng.integers(0, c, n_test), c))
+
+
+def confusion_of(test_labels, predictions):
+    confusion = np.zeros((test_labels.class_count,) * 2, dtype=np.int64)
+    np.add.at(confusion, (test_labels.labels, predictions), 1)
+    return confusion
+
+
 class TestSpecs:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
@@ -79,7 +126,7 @@ class TestSpecs:
 class TestKnn:
     def test_self_test_k1_perfect(self):
         train, tl, _, _ = generic_problem(0)
-        report = train_eval(train, tl, train, tl, ClassifierSpec("KNN", 1))
+        report, = train_eval(train, (tl,), train, (tl,), ClassifierSpec("KNN", 1))
         assert report.accuracy == 1.0
         assert np.array_equal(np.diag(np.diag(report.confusion)), report.confusion)
 
@@ -89,8 +136,9 @@ class TestKnn:
         train = Dataset(np.array([[-1.0, 1.0]]))
         tl = LabelSet(np.array([1, 0]), 2)
         test = Dataset(np.array([[0.0]]))
-        report = train_eval(train, tl, test, LabelSet(np.array([1, 0]), 2).take([0]),
-                            ClassifierSpec("KNN", 1))
+        report, = train_eval(train, (tl,), test,
+                             (LabelSet(np.array([1, 0]), 2).take([0]),),
+                             ClassifierSpec("KNN", 1))
         assert report.accuracy == 1.0  # predicted class 1 == test label 1
 
     def test_vote_tie_prefers_smallest_class(self):
@@ -102,13 +150,14 @@ class TestKnn:
         for true_label, expected_hit in [(0, True), (1, False)]:
             labels = np.array([true_label])
             test_l = LabelSet(np.concatenate([labels, [0, 1, 2]]), 3).take([0])
-            report = train_eval(train, tl, test, test_l, ClassifierSpec("KNN", 3))
+            report, = train_eval(train, (tl,), test, (test_l,),
+                                 ClassifierSpec("KNN", 3))
             assert (report.accuracy == 1.0) is expected_hit
 
     def test_k_exceeding_train_size_rejected(self):
         train, tl, test, sl = generic_problem(1, n_train=5)
         with pytest.raises(InputError):
-            train_eval(train, tl, test, sl, ClassifierSpec("KNN", 7))
+            train_eval(train, (tl,), test, (sl,), ClassifierSpec("KNN", 7))
 
     @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5]),
            st.sampled_from(["KNN", "NEAREST_CENTROID"]),
@@ -116,7 +165,7 @@ class TestKnn:
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force(self, seed, k, kind, problem):
         train, tl, test, sl = problem(seed)
-        report = train_eval(train, tl, test, sl, ClassifierSpec(kind, k))
+        report, = train_eval(train, (tl,), test, (sl,), ClassifierSpec(kind, k))
         if kind == "KNN":
             want = knn_brute_force(train.x, tl.labels, tl.class_count, test.x, k)
         else:
@@ -130,21 +179,118 @@ class TestKnn:
         assert np.array_equal(report.confusion, want_confusion)
 
 
+class TestNeighborSelection:
+    """The partial selection against the full stable argsort it replaces."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5, 7]),
+           st.sampled_from([generic_problem, tie_problem, bits_problem,
+                            rank_deficient_problem]),
+           st.sampled_from([None, 1, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stable_argsort(self, seed, k, problem, chunk_columns):
+        train, tl, test, sl = problem(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_columns is not None:
+                # Chunks of a few test points, the last one partial.
+                mp.setattr(classify, "DISTANCE_BLOCK",
+                           chunk_columns * train.n_samples)
+            got = classify._neighbors(train.x, test.x, k)
+            report, = train_eval(train, (tl,), test, (sl,),
+                                 ClassifierSpec("KNN", k))
+        want = argsort_neighbors(train.x, test.x, k)
+        assert np.array_equal(got, want)
+        want_predictions = vote_reference(want, tl.labels, tl.class_count)
+        assert np.array_equal(report.confusion,
+                              confusion_of(sl, want_predictions))
+
+    def test_k_equal_to_n_train(self):
+        for seed in range(10):
+            for problem in (bits_problem, rank_deficient_problem):
+                train, tl, test, sl = problem(seed, n_train=9)
+                got = classify._neighbors(train.x, test.x, 9)
+                assert np.array_equal(got, argsort_neighbors(train.x, test.x, 9))
+                report, = train_eval(train, (tl,), test, (sl,),
+                                     ClassifierSpec("KNN", 9))
+                majority = int(np.argmax(tl.counts()))
+                assert np.array_equal(
+                    report.confusion,
+                    confusion_of(sl, np.full(sl.n_samples, majority)))
+
+    def test_tie_heavy_problems_straddle_the_kth_distance(self):
+        # Guards the inputs above: they must reach the lowest-index fill.
+        for problem in (tie_problem, bits_problem, rank_deficient_problem):
+            straddled = 0
+            for seed in range(5):
+                train, _, test, _ = problem(seed)
+                dist = classify._sq_distances(train.x, test.x)
+                kth = np.sort(dist, axis=0)[4]
+                straddled += int(np.sum(np.count_nonzero(dist <= kth, axis=0) > 5))
+            assert straddled > 0, problem.__name__
+
+
+class TestMultiLabeling:
+    @staticmethod
+    def three_labelings(seed):
+        train, u, test, su = tie_problem(seed)
+        rng = np.random.default_rng(seed + 100)
+        train_labels = (u, LabelSet(class_assignment(rng, train.n_samples, 2), 2),
+                        LabelSet(class_assignment(rng, train.n_samples, 4), 4))
+        test_labels = (su, LabelSet(rng.integers(0, 2, test.n_samples), 2),
+                       LabelSet(rng.integers(0, 4, test.n_samples), 4))
+        return train, train_labels, test, test_labels
+
+    @pytest.mark.parametrize("kind", ["KNN", "NEAREST_CENTROID"])
+    def test_one_call_equals_single_calls(self, kind):
+        spec = ClassifierSpec(kind, 3)
+        for seed in range(8):
+            train, train_labels, test, test_labels = self.three_labelings(seed)
+            reports = train_eval(train, train_labels, test, test_labels, spec)
+            assert len(reports) == 3
+            for report, tl, sl in zip(reports, train_labels, test_labels):
+                single, = train_eval(train, (tl,), test, (sl,), spec)
+                assert report.accuracy == single.accuracy
+                assert report.n_test == single.n_test
+                assert np.array_equal(report.confusion, single.confusion)
+
+    @pytest.mark.parametrize("kind", ["KNN", "NEAREST_CENTROID"])
+    def test_bad_second_labeling_raises_as_alone(self, kind):
+        spec = ClassifierSpec(kind, 3)
+        train, (u, p0, _), test, (su, q0, _) = self.three_labelings(0)
+        short_train = LabelSet(p0.labels[:-1], 2)
+        short_test = LabelSet(q0.labels[:-1], 2)
+        one_class = LabelSet(np.zeros(train.n_samples, dtype=np.int64), 2)
+        for bad, error in [((short_train, q0), LengthMismatch),
+                           ((p0, short_test), LengthMismatch),
+                           ((one_class, q0), EmptyTrainClass)]:
+            with pytest.raises(error):
+                train_eval(train, (bad[0],), test, (bad[1],), spec)
+            with pytest.raises(error):
+                train_eval(train, (u, bad[0]), test, (su, bad[1]), spec)
+
+    def test_labeling_counts_must_agree(self):
+        train, tl, test, sl = generic_problem(5)
+        with pytest.raises(LengthMismatch):
+            train_eval(train, (tl, tl), test, (sl,), ClassifierSpec())
+        with pytest.raises(InputError):
+            train_eval(train, (), test, (), ClassifierSpec())
+
+
 class TestNearestCentroid:
     def test_separated_centroids(self):
         train = Dataset(np.array([[1.0, 1.2, -1.0, -1.2]]))
         tl = LabelSet(np.array([0, 0, 1, 1]), 2)
         test = Dataset(np.array([[2.0, -2.0]]))
-        report = train_eval(train, tl, test, LabelSet(np.array([0, 1]), 2),
-                            ClassifierSpec("NEAREST_CENTROID"))
+        report, = train_eval(train, (tl,), test, (LabelSet(np.array([0, 1]), 2),),
+                             ClassifierSpec("NEAREST_CENTROID"))
         assert report.accuracy == 1.0
 
     def test_tie_prefers_smallest_class(self):
         train = Dataset(np.array([[-1.0, 1.0]]))
         tl = LabelSet(np.array([0, 1]), 2)
         test = Dataset(np.array([[0.0]]))  # equidistant from both centroids
-        report = train_eval(train, tl, test, LabelSet(np.array([0, 1]), 2).take([0]),
-                            ClassifierSpec("NEAREST_CENTROID"))
+        report, = train_eval(train, (tl,), test,
+                             (LabelSet(np.array([0, 1]), 2).take([0]),),
+                             ClassifierSpec("NEAREST_CENTROID"))
         assert report.accuracy == 1.0  # predicted 0, true 0
 
 
@@ -152,8 +298,8 @@ class TestInvariances:
     def test_repeat_runs_bit_identical(self):
         train, tl, test, sl = generic_problem(2)
         spec = ClassifierSpec("KNN", 5)
-        a = train_eval(train, tl, test, sl, spec)
-        b = train_eval(train, tl, test, sl, spec)
+        a, = train_eval(train, (tl,), test, (sl,), spec)
+        b, = train_eval(train, (tl,), test, (sl,), spec)
         assert a.accuracy == b.accuracy
         assert np.array_equal(a.confusion, b.confusion)
 
@@ -165,8 +311,8 @@ class TestInvariances:
         train, tl, test, sl = generic_problem(seed)
         perm = np.random.default_rng(seed + 1).permutation(train.n_samples)
         spec = ClassifierSpec("KNN", 5)
-        a = train_eval(train, tl, test, sl, spec)
-        b = train_eval(train.take(perm), tl.take(perm), test, sl, spec)
+        a, = train_eval(train, (tl,), test, (sl,), spec)
+        b, = train_eval(train.take(perm), (tl.take(perm),), test, (sl,), spec)
         assert np.array_equal(a.confusion, b.confusion)
 
     @given(st.integers(0, 10_000), st.sampled_from(["KNN", "NEAREST_CENTROID"]))
@@ -176,12 +322,13 @@ class TestInvariances:
         rng = np.random.default_rng(seed + 7)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         spec = ClassifierSpec(kind, 5)
-        base = train_eval(train, tl, test, sl, spec)
-        rotated = train_eval(Dataset(q @ train.x), tl, Dataset(q @ test.x), sl, spec)
+        base, = train_eval(train, (tl,), test, (sl,), spec)
+        rotated, = train_eval(Dataset(q @ train.x), (tl,), Dataset(q @ test.x),
+                              (sl,), spec)
         assert base.accuracy == rotated.accuracy
 
     def test_dim_mismatch(self):
         train, tl, test, sl = generic_problem(3)
         with pytest.raises(DimensionMismatch):
-            train_eval(train, tl, Dataset(np.zeros((9, 4))),
-                       LabelSet(np.array([0, 1, 0, 1]), 3), ClassifierSpec())
+            train_eval(train, (tl,), Dataset(np.zeros((9, 4))),
+                       (LabelSet(np.array([0, 1, 0, 1]), 3),), ClassifierSpec())

@@ -357,6 +357,13 @@ class TestSweep:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["n_failed"] == 1
 
+    def test_weight_rows_for_unweighted_method_exits_2(self, tmp_path,
+                                                      bundle_files, capsys):
+        config = write_config(tmp_path / "config.json", methods=[
+            {"method": "DCA", "k_values": [1], "weight_rows": [[1.0], [16.0]]}])
+        assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 2
+        assert "takes no privacy weights" in capsys.readouterr().err
+
     def test_ruca_grid_rows_mirror_weight_list(self, tmp_path, bundle_files,
                                                capsys):
         grid = [[0.0], [1.0], [4.0], [8.0], [16.0]]

@@ -75,6 +75,17 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             MethodGrid("RUCA", (1,), ())
 
+    def test_weight_rows_only_for_ruca(self):
+        # A row would refit the same projection (RANDOM: with a new salt)
+        # under a weight label that had no effect.
+        for method in ("DCA", "RANDOM"):
+            with pytest.raises(InputError):
+                MethodGrid(method, (1,), ((1.0,), (16.0,)))
+            with pytest.raises(InputError):
+                MethodGrid(method, (1,), ((), ()))
+        assert MethodGrid("RUCA", (1,), ((1.0,), (16.0,))).weight_rows == (
+            (1.0,), (16.0,))
+
     @pytest.mark.parametrize("overrides", [
         {"methods": ()}, {"iterations": 0}, {"fraction": 0.0},
         {"fraction": 1.5}, {"betas": (-1.0,)},
