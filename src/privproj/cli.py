@@ -84,15 +84,12 @@ def cmd_preprocess(args) -> int:
         labels = {name: l.take(idx) for name, l in labels.items()}
         print(f"balanced on {'+'.join(names)}: {dataset.n_samples} rows")
 
-    prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    data_path = prefix.with_suffix(".csv")
-    save_dataset_csv(dataset, data_path)
-    written = [str(data_path)]
+    Path(args.output).parent.mkdir(parents=True, exist_ok=True)
+    written = [f"{args.output}.csv"]
+    save_dataset_csv(dataset, written[0])
     for name, label_set in labels.items():
-        label_path = prefix.parent / f"{prefix.name}.{name}.csv"
-        save_labels_csv(label_set, label_path)
-        written.append(str(label_path))
+        written.append(f"{args.output}.{name}.csv")
+        save_labels_csv(label_set, written[-1])
         counts = " ".join(str(c) for c in label_set.counts())
         print(f"label {name}: counts [{counts}]")
     for path in written:

@@ -1,9 +1,9 @@
 """CSV ingestion, categorical bit-encoding, balancing, and subsampling.
 
 Input tables are RFC-4180 CSV with a header row. A JSON schema assigns each
-column a kind:
+column a kind, and load_csv converts each column whole, not cell by cell:
 
-  numeric      parsed as float, passed through as one feature
+  numeric      parsed with float, passed through as one feature
   categorical  mapped to its 0-based index in the schema's ordered category
                list, then emitted as ceil(log2(n_categories)) features
                holding the index bits, most significant bit first
@@ -81,10 +81,6 @@ class TableSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
 
     @property
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if c.kind == "label")
-
-    @property
     def feature_names(self) -> tuple[str, ...]:
         names = []
         for col in self.columns:
@@ -122,8 +118,18 @@ def load_schema(path) -> TableSchema:
         return schema_from_json(fh.read())
 
 
-def _encode_bits(index: int, n_bits: int) -> list[float]:
-    return [float((index >> (n_bits - 1 - b)) & 1) for b in range(n_bits)]
+def _encode_bits(index: np.ndarray, n_bits: int) -> np.ndarray:
+    """(n, n_bits) bits of n category indices, most significant bit first."""
+    return (index[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
+
+
+def _read_table(path) -> tuple[list[str], list[str]]:
+    """(header fields, body lines) of a CSV file."""
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        return header, [line.rstrip("\n") for line in fh]
 
 
 @dataclass(frozen=True)
@@ -144,74 +150,68 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
     """Parse, clean, and encode one CSV file against a schema.
 
     recoders: optional {column_name: str -> str} transforms applied to raw
-    cell values before category lookup (e.g. the census marital regrouping).
+    cell values before category lookup (e.g. the census marital regrouping),
+    once per distinct value.
     """
-    recoders = recoders or {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        expected = [c.name for c in schema.columns]
-        if header != expected:
-            raise ParseError(
-                f"{path}: header {header!r} does not match schema columns "
-                f"{expected!r}")
-
-        feature_rows: list[list[float]] = []
-        label_rows: dict[str, list[int]] = {name: [] for name in schema.label_names}
-        n_dropped = 0
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(schema.columns):
-                raise ParseError(
-                    f"{path}:{row_num}: expected {len(schema.columns)} fields, "
-                    f"got {len(row)}")
-            if any(cell == "" for cell, col in zip(row, schema.columns)
-                   if col.kind != "drop"):
-                n_dropped += 1
-                continue
-            features: list[float] = []
-            labels: dict[str, int] = {}
-            for cell, col in zip(row, schema.columns):
-                if col.kind == "drop":
-                    continue
-                if col.kind == "numeric":
-                    try:
-                        features.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{row_num}: column {col.name!r}: "
-                            f"{cell!r} is not numeric") from None
-                    continue
-                value = recoders[col.name](cell) if col.name in recoders else cell
-                try:
-                    index = col.categories.index(value)
-                except ValueError:
-                    raise UnknownCategory(
-                        f"{path}:{row_num}: column {col.name!r}: unknown "
-                        f"category {value!r}") from None
-                if col.kind == "categorical":
-                    features.extend(_encode_bits(index, col.n_bits))
-                else:
-                    labels[col.name] = index
-            feature_rows.append(features)
-            for name, idx in labels.items():
-                label_rows[name].append(idx)
-
-    if not feature_rows:
+    header, lines = _read_table(path)
+    expected = [c.name for c in schema.columns]
+    if header != expected:
+        raise ParseError(
+            f"{path}: header {header!r} does not match schema columns "
+            f"{expected!r}")
+    rows = list(csv.reader(lines))
+    del lines
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(expected):
+            raise ParseError(f"{path}:{line_no}: expected {len(expected)} "
+                             f"fields, got {len(row)}")
+    # The object array points at the strings csv made; it copies none.
+    rows = np.array(rows, dtype=object).reshape(len(rows), len(expected))
+    used = [j for j, col in enumerate(schema.columns) if col.kind != "drop"]
+    complete = (rows[:, used] != "").all(axis=1)
+    line_nos = np.flatnonzero(complete) + 2
+    n_dropped = len(rows) - line_nos.size
+    if not line_nos.size:
         raise ParseError(f"{path}: no usable rows after dropping "
                          f"{n_dropped} incomplete rows")
-    x = np.array(feature_rows, dtype=np.float64).T
-    dataset = Dataset(x, feature_names=schema.feature_names)
-    by_name = {c.name: c for c in schema.columns}
-    label_sets = {
-        name: LabelSet(np.array(values, dtype=np.int64),
-                       len(by_name[name].categories))
-        for name, values in label_rows.items()
-    }
-    return LoadedCsv(dataset=dataset, labels=label_sets,
-                     n_rows_kept=len(feature_rows), n_rows_dropped=n_dropped)
+
+    table = np.empty((line_nos.size, schema.n_features))  # a row per sample
+    labels = {}
+    feature = 0
+    for j, col in enumerate(schema.columns):
+        column = rows[line_nos - 2, j]
+        if col.kind == "numeric":
+            try:
+                table[:, feature] = column.astype(np.float64)
+            except ValueError:
+                for line_no, cell in zip(line_nos, column):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(f"{path}:{line_no}: column "
+                                         f"{col.name!r}: {cell!r} is not "
+                                         f"numeric") from None
+            feature += 1
+        elif col.kind != "drop":
+            index = {category: i for i, category in enumerate(col.categories)}
+            recode = (recoders or {}).get(col.name, str)
+            codes = {value: index.get(recode(value), -1)
+                     for value in dict.fromkeys(column)}  # first seen first
+            codes = np.fromiter(map(codes.__getitem__, column),
+                                dtype=np.int64, count=column.size)
+            if codes.min() < 0:
+                first = np.argmax(codes < 0)
+                raise UnknownCategory(
+                    f"{path}:{line_nos[first]}: column {col.name!r}: "
+                    f"unknown category {recode(column[first])!r}")
+            if col.kind == "label":
+                labels[col.name] = LabelSet(codes, len(col.categories))
+            else:
+                table[:, feature:feature + col.n_bits] = _encode_bits(
+                    codes, col.n_bits)
+                feature += col.n_bits
+    return LoadedCsv(Dataset(table.T, schema.feature_names), labels,
+                     n_rows_kept=line_nos.size, n_rows_dropped=n_dropped)
 
 
 #: Census marital-status regrouping: 7 raw categories down to 3.
@@ -343,73 +343,75 @@ def stratified_holdout(l: LabelSet, fraction: float,
 
 
 # --- dataset/label CSV persistence ------------------------------------------
-# Floats use 17 significant digits so save -> load is bit-exact.
+# The header row goes through csv; the numbers, unquoted, go through numpy's
+# text codec, a whole table at a time. Floats use 17 significant digits so
+# save -> load is bit-exact.
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray:
+    """(n_lines, n_fields) array of the comma-separated lines; ValueError if
+    numpy's reader rejects a value or the lines hold another shape."""
+    if "" in lines:  # np.loadtxt would skip a blank line
+        raise ValueError("blank line")
+    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None)
+    return table.reshape(len(lines), n_fields)
+
+
+def _first_fault(lines: list[str], dtype, n_fields: int):
+    """(file line, csv fields, reason) of the first line _parse_lines rejects
+    alone; the reason is float's or int's message where that fails too."""
+    for line_no, line in enumerate(lines, start=2):
+        row = next(csv.reader([line]))
+        try:
+            if len(row) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+            np.array(row, dtype=dtype)
+            _parse_lines([line], dtype, n_fields)
+        except ValueError as exc:
+            return line_no, row, str(exc)
 
 
 def save_dataset_csv(d: Dataset, path) -> None:
     """One sample per row; header = feature names (x0.. if unnamed)."""
     names = d.feature_names or tuple(f"x{i}" for i in range(d.n_features))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for col in range(d.n_samples):
-            writer.writerow([_fmt(v) for v in d.x[:, col]])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        np.savetxt(fh, d.x.T, fmt="%.17g", delimiter=",")
 
 
 def load_dataset_csv(path) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{row_num}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{row_num}: {exc}") from None
-    if not rows:
+    header, lines = _read_table(path)
+    if not lines:
         raise ParseError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64).T, feature_names=tuple(header))
+    try:
+        rows = _parse_lines(lines, np.float64, len(header))
+    except ValueError:
+        line_no, _, reason = _first_fault(lines, np.float64, len(header))
+        raise ParseError(f"{path}:{line_no}: {reason}") from None
+    return Dataset(rows.T, feature_names=tuple(header))
 
 
 def save_labels_csv(l: LabelSet, path) -> None:
     """Single column of class ids; the header carries the class count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"label:{l.class_count}"])
-        for value in l.labels:
-            writer.writerow([int(value)])
+        csv.writer(fh, lineterminator="\n").writerow(
+            [f"label:{l.class_count}"])
+        np.savetxt(fh, l.labels, fmt="%d")
 
 
 def load_labels_csv(path) -> LabelSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if len(header) != 1 or not header[0].startswith("label:"):
-            raise ParseError(f'{path}: expected single header "label:<classes>"')
-        try:
-            class_count = int(header[0].split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"{path}: bad class count in header "
-                             f"{header[0]!r}") from None
-        values = []
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                values.append(int(row[0]))
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}:{row_num}: bad label row "
-                                 f"{row!r}") from None
-    if not values:
+    header, lines = _read_table(path)
+    if len(header) != 1 or not header[0].startswith("label:"):
+        raise ParseError(f'{path}: expected single header "label:<classes>"')
+    try:
+        class_count = int(header[0].split(":", 1)[1])
+    except ValueError:
+        raise ParseError(f"{path}: bad class count in header "
+                         f"{header[0]!r}") from None
+    if not lines:
         raise ParseError(f"{path}: no label rows")
-    return LabelSet(np.array(values, dtype=np.int64), class_count)
+    try:
+        rows = _parse_lines(lines, np.int64, 1)
+    except ValueError:
+        line_no, row, _ = _first_fault(lines, np.int64, 1)
+        raise ParseError(f"{path}:{line_no}: bad label row {row!r}") from None
+    return LabelSet(rows[:, 0], class_count)

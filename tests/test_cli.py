@@ -96,6 +96,19 @@ class TestPreprocess:
         assert dataset.x.shape == (3, 5)
         assert labels.labels.shape == (5,)
 
+    def test_dotted_prefix_is_kept_literally(self, tmp_path, toy_schema_path,
+                                             capsys):
+        raw = tmp_path / "raw.csv"
+        write_raw_rows(raw, [("1.0", "a", "yes"), ("2.0", "b", "no")])
+        prefix = tmp_path / "out" / "run.v2"
+        code = main(["preprocess", "--input", str(raw),
+                     "--schema", str(toy_schema_path),
+                     "--output", str(prefix)])
+        assert code == 0
+        assert sorted(p.name for p in prefix.parent.iterdir()) == [
+            "run.v2.csv", "run.v2.group.csv"]
+        assert load_dataset_csv(tmp_path / "out" / "run.v2.csv").n_samples == 2
+
     def test_balance_equalizes_joint_classes(self, tmp_path,
                                              toy_schema_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -1,3 +1,7 @@
+import hashlib
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from privproj import dataio
 from privproj.data import Dataset, LabelSet
 from privproj.errors import InputError, ParseError, UnknownCategory
+from privproj.synthetic import write_adult_like_csv
 from privproj.dataio import (ColumnSchema, TableSchema, balance_indices,
                              joint_labels, load_csv, load_dataset_csv,
                              load_labels_csv,
@@ -127,8 +132,24 @@ class TestLoadCsv:
     def test_encoding_injective(self, n_cats):
         col = ColumnSchema("c", "categorical",
                            tuple(f"v{i}" for i in range(n_cats)))
-        seen = {tuple(dataio._encode_bits(i, col.n_bits)) for i in range(n_cats)}
-        assert len(seen) == n_cats
+        bits = dataio._encode_bits(np.arange(n_cats), col.n_bits)
+        assert len({tuple(row) for row in bits}) == n_cats
+
+    def test_adult_like_load_is_pinned(self, tmp_path):
+        """SHA-256 of the encoded features, every labeling and the kept and
+        dropped counts, recorded with the row-by-row loader."""
+        schema = schema_from_json((resources.files("privproj") / "schemas" /
+                                   "census_adult.json").read_text())
+        path = tmp_path / "adult.csv"
+        write_adult_like_csv(path, seed=3, n_rows=2000)
+        loaded = load_csv(path, schema,
+                          recoders={"marital-status": recode_census_marital})
+        digest = hashlib.sha256(loaded.dataset.x.tobytes())
+        for name in sorted(loaded.labels):
+            digest.update(loaded.labels[name].labels.tobytes())
+        digest.update(f"{loaded.n_rows_kept},{loaded.n_rows_dropped}".encode())
+        assert digest.hexdigest() == ("65252caff62be54b5b5eff699dbd396e"
+                                      "e1484589feb491ea45af1fd6f10fcddd")
 
 
 class TestMaritalRecode:
@@ -236,13 +257,21 @@ class TestHoldout:
 class TestPersistence:
     def test_dataset_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        d = Dataset(rng.standard_normal((3, 17)) * 1e-7,
-                    feature_names=("a", "b", "c"))
-        path = tmp_path / "d.csv"
-        save_dataset_csv(d, path)
-        back = load_dataset_csv(path)
-        assert np.array_equal(back.x, d.x)
-        assert back.feature_names == d.feature_names
+        special = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 1 / 3],
+                            [3.0, -17.0, 0.0, 2.0 ** 53]])
+        for d in (Dataset(rng.standard_normal((3, 17)) * 1e-7,
+                          feature_names=("a", "b", "c")),
+                  Dataset(special)):
+            path = tmp_path / "d.csv"
+            save_dataset_csv(d, path)
+            back = load_dataset_csv(path)
+            assert back.x.tobytes() == d.x.tobytes()  # keeps the sign of -0.0
+            names = d.feature_names or ("x0", "x1")
+            assert back.feature_names == names
+            reference = [",".join(names)] + [
+                ",".join(format(float(v), ".17g") for v in d.x[:, j])
+                for j in range(d.n_samples)]
+            assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
 
     def test_labels_round_trip(self, tmp_path):
         l = LabelSet(np.array([2, 0, 1, 1, 2]), 3)
@@ -251,6 +280,42 @@ class TestPersistence:
         back = load_labels_csv(path)
         assert np.array_equal(back.labels, l.labels)
         assert back.class_count == 3
+
+    @pytest.mark.parametrize("load, text, where, message", [
+        (load_dataset_csv, "a,b\n1,2\n3\n", ":3", "expected 2 fields, got 1"),
+        (load_dataset_csv, "a,b\n1,2\n3,4,5\n", ":3",
+         "expected 2 fields, got 3"),
+        (load_dataset_csv, "a,b\n1,2\n\n3,4\n", ":3",
+         "expected 2 fields, got 0"),
+        (load_dataset_csv, "a,b\n1,2\nabc,4\n", ":3",
+         "could not convert string to float: 'abc'"),
+        (load_dataset_csv, "", "", "empty file"),
+        (load_dataset_csv, "a,b\n", "", "no data rows"),
+        (load_dataset_csv, "a\n1\n1_0\n", ":3",
+         "could not convert string '1_0' to float64 at row 0, column 1."),
+        (load_labels_csv, "", "", "empty file"),
+        (load_labels_csv, "label:2\n", "", "no label rows"),
+        (load_labels_csv, "class:2\n0\n", "",
+         'expected single header "label:<classes>"'),
+        (load_labels_csv, "label:two\n0\n", "",
+         "bad class count in header 'label:two'"),
+        (load_labels_csv, "label:2\n0\n\n1\n", ":3", "bad label row []"),
+        (load_labels_csv, "label:2\n1\nx\n", ":3", "bad label row ['x']"),
+        (load_labels_csv, "label:2\n0,7\n1\n", ":2",
+         "bad label row ['0', '7']"),
+    ], ids=["short", "long", "blank", "non-numeric", "empty", "header-only",
+            "numpy-rejects", "labels-empty", "labels-header-only",
+            "labels-bad-header", "labels-bad-count", "labels-blank",
+            "labels-non-integer", "labels-extra-field"])
+    def test_malformed_table_names_file_and_line(self, tmp_path, load, text,
+                                                 where, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning
+            with pytest.raises(ParseError) as info:
+                load(path)
+        assert str(info.value) == f"{path}{where}: {message}"
 
     def test_save_is_deterministic(self, tmp_path):
         d = Dataset(np.random.default_rng(1).standard_normal((2, 9)))
@@ -267,7 +332,8 @@ class TestShippedSchemas:
                 "census_adult.json").read_text()
         schema = schema_from_json(text)
         assert schema.n_features == 29
-        assert set(schema.label_names) == {"marital-status", "sex", "income"}
+        assert ({c.name for c in schema.columns if c.kind == "label"}
+                == {"marital-status", "sex", "income"})
 
     def test_har_schema_shape(self):
         from importlib import resources
