@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def _encode_bits(index: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def _read_table(path) -> tuple[list[str], list[str]]:
-    """(header fields, body lines) of a CSV file."""
+    """(header fields, body lines) of a numeric table file."""
     with open(path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -153,56 +154,52 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
     cell values before category lookup (e.g. the census marital regrouping),
     once per distinct value.
     """
-    header, lines = _read_table(path)
     expected = [c.name for c in schema.columns]
-    if header != expected:
-        raise ParseError(
-            f"{path}: header {header!r} does not match schema columns "
-            f"{expected!r}")
-    rows = list(csv.reader(lines))
-    del lines
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(expected):
-            raise ParseError(f"{path}:{line_no}: expected {len(expected)} "
-                             f"fields, got {len(row)}")
-    # The object array points at the strings csv made; it copies none.
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise ParseError(f"{path}: empty file" if header is None else
+                             f"{path}: header {header!r} does not match schema "
+                             f"columns {expected!r}")
+        rows, starts = [], [reader.line_num + 1]  # a cell may span lines
+        for row in reader:
+            if len(row) != len(expected):
+                raise ParseError(f"{path}:{starts[-1]}: expected "
+                                 f"{len(expected)} fields, got {len(row)}")
+            rows.append(row)
+            starts.append(reader.line_num + 1)
     rows = np.array(rows, dtype=object).reshape(len(rows), len(expected))
     used = [j for j, col in enumerate(schema.columns) if col.kind != "drop"]
-    complete = (rows[:, used] != "").all(axis=1)
-    line_nos = np.flatnonzero(complete) + 2
-    n_dropped = len(rows) - line_nos.size
-    if not line_nos.size:
+    kept = np.flatnonzero((rows[:, used] != "").all(axis=1))
+    if not kept.size:
         raise ParseError(f"{path}: no usable rows after dropping "
-                         f"{n_dropped} incomplete rows")
+                         f"{len(rows)} incomplete rows")
 
-    table = np.empty((line_nos.size, schema.n_features))  # a row per sample
-    labels = {}
-    feature = 0
+    table = np.empty((kept.size, schema.n_features))  # a row per sample
+    labels, feature = {}, 0
     for j, col in enumerate(schema.columns):
-        column = rows[line_nos - 2, j]
+        column = rows[kept, j]
         if col.kind == "numeric":
             try:
                 table[:, feature] = column.astype(np.float64)
             except ValueError:
-                for line_no, cell in zip(line_nos, column):
+                for i, cell in zip(kept, column):
                     try:
                         float(cell)
                     except ValueError:
-                        raise ParseError(f"{path}:{line_no}: column "
-                                         f"{col.name!r}: {cell!r} is not "
-                                         f"numeric") from None
+                        raise ParseError(f"{path}:{starts[i]}: column {col.name!r}: "
+                                         f"{cell!r} is not numeric") from None
             feature += 1
         elif col.kind != "drop":
             index = {category: i for i, category in enumerate(col.categories)}
             recode = (recoders or {}).get(col.name, str)
-            codes = {value: index.get(recode(value), -1)
-                     for value in dict.fromkeys(column)}  # first seen first
-            codes = np.fromiter(map(codes.__getitem__, column),
-                                dtype=np.int64, count=column.size)
+            code_of = {v: index.get(recode(v), -1) for v in dict.fromkeys(column)}
+            codes = np.fromiter(map(code_of.get, column), np.int64, column.size)
             if codes.min() < 0:
                 first = np.argmax(codes < 0)
                 raise UnknownCategory(
-                    f"{path}:{line_nos[first]}: column {col.name!r}: "
+                    f"{path}:{starts[kept[first]]}: column {col.name!r}: "
                     f"unknown category {recode(column[first])!r}")
             if col.kind == "label":
                 labels[col.name] = LabelSet(codes, len(col.categories))
@@ -211,7 +208,7 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
                     codes, col.n_bits)
                 feature += col.n_bits
     return LoadedCsv(Dataset(table.T, schema.feature_names), labels,
-                     n_rows_kept=line_nos.size, n_rows_dropped=n_dropped)
+                     n_rows_kept=kept.size, n_rows_dropped=len(rows) - kept.size)
 
 
 #: Census marital-status regrouping: 7 raw categories down to 3.
@@ -343,31 +340,38 @@ def stratified_holdout(l: LabelSet, fraction: float,
 
 
 # --- dataset/label CSV persistence ------------------------------------------
-# The header row goes through csv; the numbers, unquoted, go through numpy's
-# text codec, a whole table at a time. Floats use 17 significant digits so
-# save -> load is bit-exact.
+# Header rows go through csv, the unquoted numbers through numpy's text codec a
+# table at a time; 17 significant digits make float save -> load bit-exact.
 
-def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray:
-    """(n_lines, n_fields) array of the comma-separated lines; ValueError if
-    numpy's reader rejects a value or the lines hold another shape."""
-    if "" in lines:  # np.loadtxt would skip a blank line
-        raise ValueError("blank line")
-    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None)
-    return table.reshape(len(lines), n_fields)
+def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray | None:
+    """(n_lines, n_fields) array of the comma-separated lines; None if numpy's
+    reader rejects a value or the lines hold another shape."""
+    with warnings.catch_warnings():
+        # numpy only warns on empty input, and older numpy as it reads "1.7"
+        # as the integer 1; a blank line it skips shows in the shape.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return table if table.shape == (len(lines), n_fields) else None
 
 
 def _first_fault(lines: list[str], dtype, n_fields: int):
     """(file line, csv fields, reason) of the first line _parse_lines rejects
-    alone; the reason is float's or int's message where that fails too."""
+    alone; the reason is float's or int's message where that fails too, else
+    it names the first field only numpy rejects."""
     for line_no, line in enumerate(lines, start=2):
         row = next(csv.reader([line]))
         try:
             if len(row) != n_fields:
                 raise ValueError(f"expected {n_fields} fields, got {len(row)}")
             np.array(row, dtype=dtype)
-            _parse_lines([line], dtype, n_fields)
         except ValueError as exc:
             return line_no, row, str(exc)
+        for field in line.split(","):
+            if _parse_lines([field], dtype, 1) is None:
+                return line_no, row, f"{field!r} is not a number"
 
 
 def save_dataset_csv(d: Dataset, path) -> None:
@@ -382,19 +386,17 @@ def load_dataset_csv(path) -> Dataset:
     header, lines = _read_table(path)
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    try:
-        rows = _parse_lines(lines, np.float64, len(header))
-    except ValueError:
+    rows = _parse_lines(lines, np.float64, len(header))
+    if rows is None:
         line_no, _, reason = _first_fault(lines, np.float64, len(header))
-        raise ParseError(f"{path}:{line_no}: {reason}") from None
+        raise ParseError(f"{path}:{line_no}: {reason}")
     return Dataset(rows.T, feature_names=tuple(header))
 
 
 def save_labels_csv(l: LabelSet, path) -> None:
     """Single column of class ids; the header carries the class count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            [f"label:{l.class_count}"])
+        csv.writer(fh, lineterminator="\n").writerow([f"label:{l.class_count}"])
         np.savetxt(fh, l.labels, fmt="%d")
 
 
@@ -405,13 +407,11 @@ def load_labels_csv(path) -> LabelSet:
     try:
         class_count = int(header[0].split(":", 1)[1])
     except ValueError:
-        raise ParseError(f"{path}: bad class count in header "
-                         f"{header[0]!r}") from None
+        raise ParseError(f"{path}: bad class count in header {header[0]!r}") from None
     if not lines:
         raise ParseError(f"{path}: no label rows")
-    try:
-        rows = _parse_lines(lines, np.int64, 1)
-    except ValueError:
+    rows = _parse_lines(lines, np.int64, 1)
+    if rows is None:
         line_no, row, _ = _first_fault(lines, np.int64, 1)
-        raise ParseError(f"{path}:{line_no}: bad label row {row!r}") from None
+        raise ParseError(f"{path}:{line_no}: bad label row {row!r}")
     return LabelSet(rows[:, 0], class_count)

@@ -104,6 +104,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=":3:.*height"):
             load_csv(p, TOY_SCHEMA)
 
+    def test_quoted_cell_spanning_lines(self, tmp_path):
+        schema = TableSchema((ColumnSchema("f", "numeric"),
+                              ColumnSchema("y", "label", ("a\nb", "ab"))))
+        p = tmp_path / "t.csv"
+        p.write_text('f,y\n1,"a\nb"\n2,ab\n')
+        np.testing.assert_array_equal(load_csv(p, schema).labels["y"].labels,
+                                      [0, 1])
+        p.write_text('f,y\n1,"a\nb"\noops,ab\n')
+        with pytest.raises(ParseError, match=r":4: column 'f': 'oops'"):
+            load_csv(p, schema)
+
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["1.5,a,x,yes"], header="a,b,c,d")
@@ -291,8 +302,7 @@ class TestPersistence:
          "could not convert string to float: 'abc'"),
         (load_dataset_csv, "", "", "empty file"),
         (load_dataset_csv, "a,b\n", "", "no data rows"),
-        (load_dataset_csv, "a\n1\n1_0\n", ":3",
-         "could not convert string '1_0' to float64 at row 0, column 1."),
+        (load_dataset_csv, "a\n1\n1_0\n", ":3", "'1_0' is not a number"),
         (load_labels_csv, "", "", "empty file"),
         (load_labels_csv, "label:2\n", "", "no label rows"),
         (load_labels_csv, "class:2\n0\n", "",
@@ -301,21 +311,35 @@ class TestPersistence:
          "bad class count in header 'label:two'"),
         (load_labels_csv, "label:2\n0\n\n1\n", ":3", "bad label row []"),
         (load_labels_csv, "label:2\n1\nx\n", ":3", "bad label row ['x']"),
+        (load_labels_csv, "label:2\n1.7\n0\n", ":2", "bad label row ['1.7']"),
         (load_labels_csv, "label:2\n0,7\n1\n", ":2",
          "bad label row ['0', '7']"),
     ], ids=["short", "long", "blank", "non-numeric", "empty", "header-only",
             "numpy-rejects", "labels-empty", "labels-header-only",
             "labels-bad-header", "labels-bad-count", "labels-blank",
-            "labels-non-integer", "labels-extra-field"])
+            "labels-non-integer", "labels-float", "labels-extra-field"])
     def test_malformed_table_names_file_and_line(self, tmp_path, load, text,
                                                  where, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's empty-input warning
+            # numpy's empty-input warning must not leak; other warnings keep
+            # the action callers outside the tests see.
+            warnings.simplefilter("error", UserWarning)
             with pytest.raises(ParseError) as info:
                 load(path)
         assert str(info.value) == f"{path}{where}: {message}"
+
+    def test_numpy_warning_is_a_fault(self, tmp_path, monkeypatch):
+        def truncating_loadtxt(lines, dtype, **kwargs):  # as older numpy does
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return np.array([[1], [0]])
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "l.csv"
+        path.write_text("label:2\n1.7\n0\n")
+        with pytest.raises(ParseError, match=r":2: bad label row \['1.7'\]"):
+            load_labels_csv(path)
 
     def test_save_is_deterministic(self, tmp_path):
         d = Dataset(np.random.default_rng(1).standard_normal((2, 9)))
