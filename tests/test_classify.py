@@ -102,6 +102,12 @@ def rank_deficient_problem(seed, m=4, n_distinct=10, n_train=30, n_test=30,
             Dataset(x_test), LabelSet(rng.integers(0, c, n_test), c))
 
 
+#: (search function, feature count) pairs for the fast-path tests; None
+#: keeps the generator's own width.
+FAST_PATHS = [("_window_neighbors", 1), ("_gram_neighbors", None),
+              ("_gram_neighbors", 1)]
+
+
 def confusion_of(test_labels, predictions):
     confusion = np.zeros((test_labels.class_count,) * 2, dtype=np.int64)
     np.add.at(confusion, (test_labels.labels, predictions), 1)
@@ -112,6 +118,11 @@ class TestSpecs:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
             ClassifierSpec(kind="KNN", k_neighbors=4)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), None, True])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InputError):
+            ClassifierSpec(kind="KNN", k_neighbors=k)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -203,12 +214,87 @@ class TestNeighborSelection:
         assert np.array_equal(report.confusion,
                               confusion_of(sl, want_predictions))
 
+    @pytest.mark.parametrize("search, m", FAST_PATHS)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5, 7]),
+           st.sampled_from([generic_problem, tie_problem, bits_problem,
+                            rank_deficient_problem]),
+           st.sampled_from([None, 1, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_matches_stable_argsort(self, search, m, seed, k,
+                                              problem, chunk_columns):
+        # The dispatch rule sends these small problems to the dense block,
+        # so the fast paths are called directly.
+        train, _, test, _ = problem(seed) if m is None else problem(seed, m=m)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_columns is not None:
+                mp.setattr(classify, "DISTANCE_BLOCK",
+                           chunk_columns * train.n_samples)
+            got = getattr(classify, search)(train.x, test.x, k)
+        assert np.array_equal(got, argsort_neighbors(train.x, test.x, k))
+
+    def test_window_reaches_ties_past_its_edge(self):
+        # Guards the 1-D inputs above: duplicate 1-D bits tie far beyond the
+        # 2k-value window, so the window must hand columns to the dense block.
+        handed = []
+        dense = classify._dense
+
+        def spy(x_train, chunk, k):
+            handed.append(chunk.shape[1])
+            return dense(x_train, chunk, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_dense", spy)
+            for seed in range(5):
+                train, _, test, _ = bits_problem(seed, m=1)
+                got = classify._window_neighbors(train.x, test.x, 5)
+                assert np.array_equal(got, argsort_neighbors(train.x, test.x, 5))
+        assert sum(handed) > 0
+
+    @pytest.mark.parametrize("search, m", FAST_PATHS)
+    @pytest.mark.parametrize("shift, scale", [(1e8, 1.0), (0.0, 1e-160),
+                                              (0.0, 1e200)])
+    def test_fast_path_at_extreme_magnitudes(self, search, m, shift, scale):
+        # Features around 1e8 plus small-integer or unit noise: without the
+        # centring the Gram expansion would cancel away the distances. Tiny
+        # features round their squares in the subnormal range, and huge
+        # ones overflow them to inf, where the Gram filter takes the dense
+        # block (the dense block overflows alike, and numpy warns).
+        for seed in range(4):
+            for problem in (generic_problem, tie_problem):
+                train, _, test, _ = (problem(seed) if m is None
+                                     else problem(seed, m=m))
+                x_train = shift + scale * train.x
+                x_test = shift + scale * test.x
+                for k in (1, 5):
+                    with np.errstate(over="ignore"):
+                        got = getattr(classify, search)(x_train, x_test, k)
+                        want = argsort_neighbors(x_train, x_test, k)
+                    assert np.array_equal(got, want)
+
+    def test_gram_filter_on_wide_data(self):
+        # Wide enough for BLAS to split the product across threads where it
+        # may; CI also runs this file with OPENBLAS_NUM_THREADS=2.
+        for problem in (generic_problem, bits_problem):
+            train, _, test, _ = problem(0, m=256, n_train=300, n_test=200)
+            for k in (1, 5):
+                assert np.array_equal(
+                    classify._gram_neighbors(train.x, test.x, k),
+                    argsort_neighbors(train.x, test.x, k))
+
     def test_k_equal_to_n_train(self):
+        searches = [(classify._neighbors, None)] + [
+            (getattr(classify, search), m) for search, m in FAST_PATHS]
         for seed in range(10):
             for problem in (bits_problem, rank_deficient_problem):
+                for search, m in searches:
+                    width = {} if m is None else {"m": m}
+                    train, _, test, _ = problem(seed, n_train=9, **width)
+                    # n_train < 2k, then k = n_train.
+                    for k in (7, 9):
+                        assert np.array_equal(
+                            search(train.x, test.x, k),
+                            argsort_neighbors(train.x, test.x, k))
                 train, tl, test, sl = problem(seed, n_train=9)
-                got = classify._neighbors(train.x, test.x, 9)
-                assert np.array_equal(got, argsort_neighbors(train.x, test.x, 9))
                 report, = train_eval(train, (tl,), test, (sl,),
                                      ClassifierSpec("KNN", 9))
                 majority = int(np.argmax(tl.counts()))
@@ -226,6 +312,46 @@ class TestNeighborSelection:
                 kth = np.sort(dist, axis=0)[4]
                 straddled += int(np.sum(np.count_nonzero(dist <= kth, axis=0) > 5))
             assert straddled > 0, problem.__name__
+
+
+class TestDispatch:
+    @staticmethod
+    def searches_taken(train, tl, test, sl, spec):
+        taken = []
+
+        def spy(name):
+            search = getattr(classify, name)
+
+            def recorded(*args):
+                taken.append(name)
+                return search(*args)
+            return recorded
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_dense_neighbors", "_window_neighbors",
+                         "_gram_neighbors"):
+                mp.setattr(classify, name, spy(name))
+            train_eval(train, (tl,), test, (sl,), spec)
+        return taken
+
+    @pytest.mark.parametrize("m, search", [(1, "_window_neighbors"),
+                                           (29, "_gram_neighbors")])
+    def test_census_sized_knn_takes_a_fast_path(self, m, search):
+        # The census sweep scores 360 training points, 1-D projections and
+        # the 29-feature baseline.
+        problem = generic_problem(0, m=m, n_train=360, n_test=50)
+        assert self.searches_taken(*problem, ClassifierSpec("KNN", 5)) == [search]
+
+    @pytest.mark.parametrize("m", [1, 29])
+    def test_nearest_centroid_stays_dense(self, m):
+        problem = generic_problem(0, m=m, n_train=360, n_test=50, c=7)
+        taken = self.searches_taken(*problem, ClassifierSpec("NEAREST_CENTROID"))
+        assert taken == ["_dense_neighbors"]
+
+    def test_small_training_sets_stay_dense(self):
+        problem = generic_problem(0, m=29, n_train=classify.FAST_MIN_TRAIN - 1)
+        taken = self.searches_taken(*problem, ClassifierSpec("KNN", 5))
+        assert taken == ["_dense_neighbors"]
 
 
 class TestMultiLabeling:
