@@ -377,9 +377,12 @@ def _first_fault(lines: list[str], dtype, n_fields: int):
 def save_dataset_csv(d: Dataset, path) -> None:
     """One sample per row; header = feature names (x0.. if unnamed)."""
     names = d.feature_names or tuple(f"x{i}" for i in range(d.n_features))
+    # np.savetxt's row format, applied to rows of Python floats rather than
+    # of numpy scalars: the same bytes, formatted faster.
+    row = ",".join(["%.17g"] * d.n_features) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(names)
-        np.savetxt(fh, d.x.T, fmt="%.17g", delimiter=",")
+        fh.writelines(row % tuple(values) for values in d.x.T.tolist())
 
 
 def load_dataset_csv(path) -> Dataset:

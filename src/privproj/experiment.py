@@ -2,20 +2,27 @@
 grid, accuracy aggregation, the utility/privacy performance criterion, and
 trade-off table/chart emission.
 
+The sweep is iteration-major: each iteration draws its subsample once, fits
+every live cell with one `fit_methods` call (each labeling's scatter and
+each distinct pencil once, all eigenproblems in one stacked solve), then
+scores the cells on the worker threads while the next iteration is fitted.
+
 Determinism contract: an iteration's subsample depends only on (seed,
 iteration), so every cell sees the same draws; only RANDOM fits are salted
-with (method, k, weights). Results are identical regardless of worker count
-or scheduling order, and rerunning a sweep on the same numpy/BLAS build
-reproduces its CSV byte-for-byte.
+with (method, k, weights). Every fit is bit-identical to fitting its cell
+alone, and one failing cell leaves the other rows unchanged. On the same
+numpy/BLAS build, with any thread count, a sweep reproduces its CSV
+byte-for-byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +31,10 @@ from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
 from .dataio import subsample
 from .errors import InputError, PrivprojError
-from .projections import METHODS, ProjectionConfig, fit_method, project
+# fit_method is unused here but stays importable: bench/workloads.py wraps
+# experiment.fit_method by name.
+from .projections import (METHODS, ProjectionConfig, fit_method,  # noqa: F401
+                          fit_methods, project)
 from .seeds import mix
 
 __all__ = [
@@ -169,44 +179,21 @@ def _cell_list(cfg: ExperimentConfig, m: int):
     return cells
 
 
-def _run_cell(bundle: DataBundle, method: str, k: int,
-              weights: tuple[float, ...], cfg: ExperimentConfig):
-    """Per-iteration accuracies for one grid cell.
-
-    Returns (acc_u, acc_p) with shapes (iterations,) and (n_privacy,
-    iterations). Raises on numerical/input failure; the caller records it.
-
-    Iteration subsamples are shared across cells (paired comparisons: the
-    RUCA row at zero weights is identical to the DCA row); only the fit's
-    own randomness is salted with (method, k, weights). Each iteration's
-    projection is scored by one `train_eval` call over (utility,
-    *privacy): KNN neighbours are found once and shared by every labeling.
-    """
-    split_seed = mix(cfg.seed or 0, "subsample")
-    cell_seed = mix(cfg.seed or 0, method, k, *weights)
-    all_labels = [bundle.train_utility, *bundle.train_privacy]
-    acc_u = np.empty(cfg.iterations)
-    acc_p = np.empty((bundle.n_privacy, cfg.iterations))
-    for it in range(cfg.iterations):
-        sub_train, sub_labels = subsample(bundle.train, all_labels, split_seed,
-                                          cfg.fraction, it)
-        utility, privacy = sub_labels[0], tuple(sub_labels[1:])
-        if method == FULL_BASELINE:
-            train_z, test_z = sub_train, bundle.test
+def _score(model, train: Dataset, train_labels, bundle: DataBundle,
+           spec: ClassifierSpec):
+    """(acc_u, acc_p per task) of one fitted projection (None: no
+    projection) on one iteration's subsample, or the PrivprojError raised.
+    One `train_eval` call scores every labeling over one neighbour search."""
+    try:
+        if model is None:
+            train_z, test_z = train, bundle.test
         else:
-            pc = ProjectionConfig(
-                method=method, k=k, rho=cfg.rho, rho_prime=cfg.rho_prime,
-                privacy_weights=weights,
-                seed=mix(cell_seed, "fit", it) if method == "RANDOM" else None)
-            model = fit_method(sub_train, utility, privacy, pc)
-            train_z = project(model, sub_train)
-            test_z = project(model, bundle.test)
-        reports = train_eval(train_z, (utility, *privacy), test_z,
-                             (bundle.test_utility, *bundle.test_privacy),
-                             cfg.classifier)
-        acc_u[it] = reports[0].accuracy
-        acc_p[:, it] = [report.accuracy for report in reports[1:]]
-    return acc_u, acc_p
+            train_z, test_z = project(model, train), project(model, bundle.test)
+        reports = train_eval(train_z, train_labels, test_z,
+                             (bundle.test_utility, *bundle.test_privacy), spec)
+    except PrivprojError as exc:
+        return exc
+    return reports[0].accuracy, [report.accuracy for report in reports[1:]]
 
 
 def _std(values: np.ndarray) -> float:
@@ -222,18 +209,26 @@ def _scored_privacy_mean(cfg: ExperimentConfig,
     return acc_p_means[0]
 
 
-def _point_from_cell(bundle, method, k, weights, cfg) -> TradeoffPoint:
-    try:
-        acc_u, acc_p = _run_cell(bundle, method, k, weights, cfg)
-    except PrivprojError as exc:
-        nan_p = (math.nan,) * bundle.n_privacy
+def _point(cell, outcomes, cfg: ExperimentConfig,
+           n_privacy: int) -> TradeoffPoint:
+    """Aggregate one cell's per-iteration outcomes; the cell fails with the
+    error of its first failing iteration."""
+    method, k, weights = cell
+    error = next((o for o in outcomes if isinstance(o, PrivprojError)), None)
+    if error is not None:
+        nan_p = (math.nan,) * n_privacy
         return TradeoffPoint(
             method=method, k=k, privacy_weights=weights,
             acc_u_mean=math.nan, acc_u_std=math.nan,
             acc_p_means=nan_p, acc_p_stds=nan_p,
             performance={beta: math.nan for beta in cfg.betas},
-            status=f"failed: {type(exc).__name__}: {exc}")
-    acc_p_means = tuple(float(acc_p[t].mean()) for t in range(bundle.n_privacy))
+            status=f"failed: {type(error).__name__}: {error}")
+    acc_u = np.empty(cfg.iterations)
+    acc_p = np.empty((n_privacy, cfg.iterations))
+    for it, (u, p) in enumerate(outcomes):
+        acc_u[it] = u
+        acc_p[:, it] = p
+    acc_p_means = tuple(float(acc_p[t].mean()) for t in range(n_privacy))
     scored = _scored_privacy_mean(cfg, acc_p_means)
     perf = {beta: performance(float(acc_u.mean()), scored, beta)
             for beta in cfg.betas} if scored is not None else {
@@ -242,7 +237,7 @@ def _point_from_cell(bundle, method, k, weights, cfg) -> TradeoffPoint:
         method=method, k=k, privacy_weights=weights,
         acc_u_mean=float(acc_u.mean()), acc_u_std=_std(acc_u),
         acc_p_means=acc_p_means,
-        acc_p_stds=tuple(_std(acc_p[t]) for t in range(bundle.n_privacy)),
+        acc_p_stds=tuple(_std(acc_p[t]) for t in range(n_privacy)),
         performance=perf)
 
 
@@ -250,19 +245,63 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
               threads: int = 1) -> list[TradeoffPoint]:
     """Evaluate every grid cell plus the full-dimensional baseline.
 
-    A failing cell yields a row with a failure status instead of aborting
-    the run. threads=0 picks the CPU count; any thread count produces the
-    same result list.
+    Works one iteration at a time: draw the subsample, fit every live
+    cell's projection with one `fit_methods` call (shared scatters and
+    pencils, one stacked eigensolve), then score each cell. Scoring runs on
+    `threads` workers (threads=0 picks the CPU count) while the next
+    iteration is fitted; any thread count produces the same result list.
+    A failing cell yields a row with the status of its first failing
+    iteration instead of aborting the run; once its failure is known, it
+    is not fitted again.
     """
     cells = _cell_list(cfg, bundle.train.n_features)
     if threads == 0:
         threads = min(len(cells), os.cpu_count() or 1)
-    if threads <= 1:
-        return [_point_from_cell(bundle, m, k, w, cfg) for m, k, w in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_point_from_cell, bundle, m, k, w, cfg)
-                   for m, k, w in cells]
-        return [f.result() for f in futures]
+    split_seed = mix(cfg.seed or 0, "subsample")
+    all_labels = [bundle.train_utility, *bundle.train_privacy]
+    outcomes = [[] for _ in cells]
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        for it in range(cfg.iterations):
+            live = [c for c, out in enumerate(outcomes)
+                    if not any(isinstance(o, PrivprojError) for o in out)]
+            try:
+                sub_train, sub_labels = subsample(
+                    bundle.train, all_labels, split_seed, cfg.fraction, it)
+            except PrivprojError as exc:
+                for c in live:
+                    outcomes[c].append(exc)
+                continue
+            utility, privacy = sub_labels[0], tuple(sub_labels[1:])
+            models, configs, fitted = {}, [], []
+            for c in live:
+                method, k, weights = cells[c]
+                if method == FULL_BASELINE:
+                    models[c] = None
+                    continue
+                try:
+                    configs.append(ProjectionConfig(
+                        method=method, k=k, rho=cfg.rho,
+                        rho_prime=cfg.rho_prime, privacy_weights=weights,
+                        seed=(mix(mix(cfg.seed or 0, method, k, *weights),
+                                  "fit", it) if method == "RANDOM" else None)))
+                    fitted.append(c)
+                except PrivprojError as exc:
+                    models[c] = exc
+            models.update(zip(fitted, fit_methods(sub_train, utility, privacy,
+                                                  configs)))
+            for c in live:
+                model = models[c]
+                if isinstance(model, PrivprojError):
+                    outcomes[c].append(model)
+                    continue
+                task = (model, sub_train, (utility, *privacy), bundle,
+                        cfg.classifier)
+                outcomes[c].append(pool.submit(_score, *task) if pool
+                                   else _score(*task))
+    return [_point(cell, [o.result() if isinstance(o, Future) else o
+                          for o in out], cfg, bundle.n_privacy)
+            for cell, out in zip(cells, outcomes)]
 
 
 # --- config JSON -------------------------------------------------------------

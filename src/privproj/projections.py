@@ -15,6 +15,9 @@ path (bit-for-bit), and as a weight grows the solution swings toward MDR.
 
 Columns of every fitted `w` are denominator-orthonormal with the sign
 convention inherited from the eigensolver, so fits are fully deterministic.
+`fit_methods` fits many configs on one dataset with shared scatters and
+pencils and one stacked eigensolve; `fit_method` is that path for one
+config.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset, LabelSet
-from .errors import (DimensionMismatch, InputError, InvalidK, RankDeficient,
-                     WeightMismatch)
+from .errors import (DimensionMismatch, InputError, InvalidK, PrivprojError,
+                     RankDeficient, WeightMismatch)
 from .scatter import compute_scatter, total_scatter
 from .seeds import rng_from
 
 __all__ = [
     "METHODS", "ProjectionConfig", "ProjectionModel",
-    "fit_pca", "fit_random", "fit_method",
+    "fit_pca", "fit_random", "fit_method", "fit_methods",
     "project", "subspace_angle", "modified_gram_schmidt",
     "model_to_json", "model_from_json", "save_model", "load_model",
 ]
@@ -124,9 +127,9 @@ class ProjectionModel:
         return self.w.shape[1]
 
 
-def _resolve_rho(cfg: ProjectionConfig, s_bar: np.ndarray) -> float:
-    if cfg.rho is not None:
-        return cfg.rho
+def _resolve_rho(rho: float | None, s_bar: np.ndarray) -> float:
+    if rho is not None:
+        return rho
     rho = RHO_SCALE * float(np.trace(s_bar)) / s_bar.shape[0]
     if not rho > 0:
         raise InputError("cannot derive a positive default rho: total scatter "
@@ -134,55 +137,176 @@ def _resolve_rho(cfg: ProjectionConfig, s_bar: np.ndarray) -> float:
     return rho
 
 
-def _resolve_rho_prime(cfg: ProjectionConfig, s_bu: np.ndarray) -> float:
-    if cfg.rho_prime is not None:
-        return cfg.rho_prime
+def _resolve_rho_prime(rho_prime: float | None, s_bu: np.ndarray) -> float:
+    if rho_prime is not None:
+        return rho_prime
     return RHO_PRIME_SCALE * float(np.trace(s_bu)) / s_bu.shape[0]
 
 
-def _fit_pencil(d: Dataset, utility: LabelSet,
-                privacy: list[LabelSet] | tuple[LabelSet, ...],
-                cfg: ProjectionConfig) -> ProjectionModel:
-    """Solve the discriminant pencil (s_bu + rho'·I, denominator + rho·I).
+def _memo(compute):
+    """compute(key), evaluated once per key. A PrivprojError it raises is
+    kept and raised again for every later lookup of that key."""
+    cache = {}
 
-    The denominator follows cfg.method: MDR takes the first privacy
+    def lookup(key):
+        if key not in cache:
+            try:
+                cache[key] = compute(key)
+            except PrivprojError as exc:
+                cache[key] = exc
+        if isinstance(cache[key], PrivprojError):
+            raise cache[key]
+        return cache[key]
+    return lookup
+
+
+def _pencil_key(cfg: ProjectionConfig) -> tuple:
+    """What defines a discriminant pencil: its denominator terms (None for
+    MDR's first privacy scatter; else the non-zero (task, weight) pairs
+    added to s_bar) and the configured ridges. DCA and a zero-weight RUCA
+    share one key, hence one pencil."""
+    terms = None if cfg.method == "MDR" else tuple(
+        (task, weight) for task, weight in enumerate(cfg.privacy_weights)
+        if weight != 0.0)
+    return terms, cfg.rho, cfg.rho_prime
+
+
+def _solve_stacked(matrices: dict) -> dict:
+    """Eigenpairs (or the PrivprojError) of each matrix, from one stacked
+    `linalg.sym_eig` call. If the stack fails, each matrix is solved alone,
+    which gives the same bits, so one bad matrix fails only itself."""
+    keys = list(matrices)
+    try:
+        stacked = linalg.sym_eig(np.stack(list(matrices.values())))
+    except PrivprojError as exc:
+        if len(keys) == 1:
+            return {keys[0]: exc}
+        solved = {}
+        for key in keys:
+            try:
+                solved[key] = linalg.sym_eig(matrices[key])
+            except PrivprojError as member_exc:
+                solved[key] = member_exc
+        return solved
+    return {key: linalg.EigenPairs(values=stacked.values[j],
+                                   vectors=stacked.vectors[j])
+            for j, key in enumerate(keys)}
+
+
+def fit_methods(d: Dataset, utility: LabelSet | None,
+                privacy: list[LabelSet] | tuple[LabelSet, ...],
+                configs: list[ProjectionConfig] | tuple[ProjectionConfig, ...]
+                ) -> list[ProjectionModel | PrivprojError]:
+    """Fit every config on one dataset; one slot per config holds its model,
+    or the PrivprojError that config raised.
+
+    Work the configs share is done once: each labeling's scatter (through
+    `compute_scatter`, with its checks), PCA's total scatter, and each
+    distinct discriminant pencil (s_bu + rho'·I, denominator + rho·I) with
+    its Cholesky reduction. Every eigenproblem (the reduced pencils and
+    PCA's total scatter) is then solved in one stacked `linalg.sym_eig`
+    call, and each config back-substitutes its own top k. The pencil
+    denominator follows cfg.method: MDR takes the first privacy
     between-class scatter; DCA and RUCA take s_bar plus w_p·s_bp_p for each
-    non-zero weight (only a RUCA config has any). Zero-weight terms are
-    skipped outright, so a zero-weight RUCA fit takes the identical
-    arithmetic path as DCA.
+    non-zero weight (only a RUCA config has any), so a zero-weight RUCA fit
+    is DCA's fit bit for bit. A failing config does not affect the others,
+    and each model is bit-identical to fitting its config alone, with the
+    error a lone fit raises: checks run in the order `fit_method`
+    documents.
     """
-    if cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
-        raise WeightMismatch(
-            f"{len(cfg.privacy_weights)} privacy weights for "
-            f"{len(privacy)} privacy labelings")
-    util = compute_scatter(d, utility)
-    if cfg.method == "MDR":
-        denominator = compute_scatter(d, privacy[0]).s_b
-    else:
-        denominator = util.s_bar
-        for weight, labels in zip(cfg.privacy_weights, privacy):
-            if weight != 0.0:
-                denominator = denominator + weight * compute_scatter(d, labels).s_b
-    rho = _resolve_rho(cfg, util.s_bar)
-    rho_prime = _resolve_rho_prime(cfg, util.s_b)
-    eye = np.eye(d.n_features)
-    pairs = linalg.generalized_eig(linalg.symmetrize(util.s_b + rho_prime * eye),
-                                   linalg.symmetrize(denominator + rho * eye),
-                                   cfg.k)
-    resolved = replace(cfg, rho=rho, rho_prime=rho_prime)
-    return ProjectionModel(w=pairs.vectors, eigenvalues=pairs.values,
-                           config=resolved, feature_mean=util.mean)
+    m = d.n_features
+    labelings = (utility, *privacy)
+    scatter = _memo(lambda task: compute_scatter(d, labelings[task]))
+    total = _memo(lambda _: total_scatter(d))
+
+    def build_pencil(key):
+        terms, rho, rho_prime = key
+        util = scatter(0)
+        if terms is None:
+            denominator = scatter(1).s_b
+        else:
+            denominator = util.s_bar
+            for task, weight in terms:
+                denominator = denominator + weight * scatter(1 + task).s_b
+        rho = _resolve_rho(rho, util.s_bar)
+        rho_prime = _resolve_rho_prime(rho_prime, util.s_b)
+        eye = np.eye(m)
+        a = linalg.check_symmetric(
+            linalg.symmetrize(util.s_b + rho_prime * eye), "a")
+        b = linalg.symmetrize(denominator + rho * eye)
+        return a, b, rho, rho_prime, util.mean
+
+    pencil = _memo(build_pencil)
+
+    def reduce(key):
+        a, b = pencil(key)[:2]
+        lower = linalg.cholesky(b)
+        return lower, linalg.reduce_pencil(lower, a)
+
+    reduction = _memo(reduce)
+
+    def prepare(cfg):
+        # (eig key, matrix) and a finish(pairs) -> model, or (None, model).
+        if cfg.method == "RANDOM":
+            return None, fit_random(m, cfg)
+        if cfg.method == "PCA":
+            if not 1 <= cfg.k <= m:
+                raise InvalidK(f"k={cfg.k} out of range 1..{m}")
+            mean, s_bar = total(None)
+            return ("PCA", s_bar), lambda pairs: ProjectionModel(
+                w=pairs.vectors[:, :cfg.k], eigenvalues=pairs.values[:cfg.k],
+                config=cfg, feature_mean=mean)
+        if utility is None:
+            raise InputError(f"method {cfg.method} requires utility labels")
+        if cfg.method == "MDR" and not privacy:
+            raise InputError("MDR requires at least one privacy labeling "
+                             "(it uses the first)")
+        if cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
+            raise WeightMismatch(
+                f"{len(cfg.privacy_weights)} privacy weights for "
+                f"{len(privacy)} privacy labelings")
+        key = _pencil_key(cfg)
+        _, _, rho, rho_prime, mean = pencil(key)
+        if not 1 <= cfg.k <= m:
+            raise InvalidK(f"k={cfg.k} out of range for dim {m}")
+        lower, reduced = reduction(key)
+
+        def finish(pairs):
+            top = linalg.back_substitute(lower, pairs, cfg.k)
+            return ProjectionModel(
+                w=top.vectors, eigenvalues=top.values,
+                config=replace(cfg, rho=rho, rho_prime=rho_prime),
+                feature_mean=mean)
+        return (key, reduced), finish
+
+    results: list = [None] * len(configs)
+    matrices: dict = {}
+    pending = []
+    for slot, cfg in enumerate(configs):
+        try:
+            job, outcome = prepare(cfg)
+        except PrivprojError as exc:
+            results[slot] = exc
+            continue
+        if job is None:
+            results[slot] = outcome
+        else:
+            matrices.setdefault(*job)
+            pending.append((slot, job[0], outcome))
+    solved = _solve_stacked(matrices) if matrices else {}
+    for slot, key, finish in pending:
+        try:
+            if isinstance(solved[key], PrivprojError):
+                raise solved[key]
+            results[slot] = finish(solved[key])
+        except PrivprojError as exc:
+            results[slot] = exc
+    return results
 
 
 def fit_pca(d: Dataset, cfg: ProjectionConfig) -> ProjectionModel:
     """Top-k eigenvectors of the total scatter; columns Euclidean-orthonormal."""
-    if not 1 <= cfg.k <= d.n_features:
-        raise InvalidK(f"k={cfg.k} out of range 1..{d.n_features}")
-    mean, s_bar = total_scatter(d)
-    pairs = linalg.sym_eig(s_bar)
-    return ProjectionModel(w=pairs.vectors[:, :cfg.k],
-                           eigenvalues=pairs.values[:cfg.k],
-                           config=cfg, feature_mean=mean)
+    return fit_method(d, None, (), replace(cfg, method="PCA"))
 
 
 def modified_gram_schmidt(w: np.ndarray, pivot_tol: float = GS_PIVOT_TOL) -> np.ndarray:
@@ -235,18 +359,14 @@ def fit_method(d: Dataset, utility: LabelSet | None,
 
     PCA and RANDOM ignore the labels. DCA, MDR and RUCA need utility labels;
     MDR needs at least one privacy labeling and uses only the first; RUCA
-    needs one privacy weight per privacy labeling.
+    needs one privacy weight per privacy labeling. A discriminant fit then
+    computes the scatters, resolves rho and rho', checks k and factors the
+    denominator, in that order. This is `fit_methods` with one config.
     """
-    if cfg.method == "PCA":
-        return fit_pca(d, cfg)
-    if cfg.method == "RANDOM":
-        return fit_random(d.n_features, cfg)
-    if utility is None:
-        raise InputError(f"method {cfg.method} requires utility labels")
-    if cfg.method == "MDR" and not privacy:
-        raise InputError("MDR requires at least one privacy labeling "
-                         "(it uses the first)")
-    return _fit_pencil(d, utility, privacy, cfg)
+    model, = fit_methods(d, utility, privacy, (cfg,))
+    if isinstance(model, PrivprojError):
+        raise model
+    return model
 
 
 def project(model: ProjectionModel, d: Dataset) -> Dataset:

@@ -1,24 +1,114 @@
 """Tests for sweep orchestration, the performance criterion, and trade-off
 table/chart emission."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from privproj.classify import ClassifierSpec
-from privproj.errors import InputError
+from privproj import linalg
+from privproj.classify import ClassifierSpec, train_eval
+from privproj.data import Dataset, LabelSet
+from privproj.dataio import subsample
+from privproj.errors import InputError, PrivprojError
 from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
-                                 MethodGrid, TradeoffPoint, _run_cell,
-                                 config_from_json, config_to_json,
+                                 MethodGrid, TradeoffPoint, config_from_json, config_to_json,
                                  emit_tradeoff_curve, performance,
                                  read_tradeoff_csv, read_tradeoff_points,
                                  render_svg, run_sweep)
+from privproj.projections import ProjectionConfig, fit_method, project
+from privproj.seeds import mix
 from privproj.synthetic import tradeoff_bundle
 
 
 def small_bundle(seed=0, n=240, m=5):
     return tradeoff_bundle(seed=seed, n_train=n, n_test=n, m=m)
+
+
+def bits_bundle(seed=0, n_train=300, n_test=200, m=12):
+    """Census-style 0/1 features (tie-heavy, one constant column) with a
+    binary utility task and two privacy tasks (3 and 2 classes)."""
+    rng = np.random.default_rng(seed)
+
+    def half(n):
+        utility = rng.integers(0, 2, n)
+        marital = rng.integers(0, 3, n)
+        sex = rng.integers(0, 2, n)
+        p = 0.2 + 0.3 * utility + 0.2 * (marital == 1) + 0.2 * sex
+        x = (rng.random((m, n)) < p).astype(float)
+        x[m - 1] = 1.0
+        return (Dataset(x), LabelSet(utility, 2),
+                (LabelSet(marital, 3), LabelSet(sex, 2)))
+
+    (train, train_u, train_p), (test, test_u, test_p) = half(n_train), half(n_test)
+    return DataBundle(train=train, train_utility=train_u, train_privacy=train_p,
+                      test=test, test_utility=test_u, test_privacy=test_p)
+
+
+def reference_cell(bundle, method, k, weights, cfg):
+    """Per-iteration accuracies of one cell, each iteration fitted alone
+    through fit_method: the per-cell loop the iteration-major sweep
+    replaced, kept as its reference."""
+    split_seed = mix(cfg.seed or 0, "subsample")
+    cell_seed = mix(cfg.seed or 0, method, k, *weights)
+    all_labels = [bundle.train_utility, *bundle.train_privacy]
+    acc_u = np.empty(cfg.iterations)
+    acc_p = np.empty((bundle.n_privacy, cfg.iterations))
+    for it in range(cfg.iterations):
+        sub_train, sub_labels = subsample(bundle.train, all_labels, split_seed,
+                                          cfg.fraction, it)
+        utility, privacy = sub_labels[0], tuple(sub_labels[1:])
+        if method == FULL_BASELINE:
+            train_z, test_z = sub_train, bundle.test
+        else:
+            pc = ProjectionConfig(
+                method=method, k=k, rho=cfg.rho, rho_prime=cfg.rho_prime,
+                privacy_weights=weights,
+                seed=mix(cell_seed, "fit", it) if method == "RANDOM" else None)
+            model = fit_method(sub_train, utility, privacy, pc)
+            train_z = project(model, sub_train)
+            test_z = project(model, bundle.test)
+        reports = train_eval(train_z, (utility, *privacy), test_z,
+                             (bundle.test_utility, *bundle.test_privacy),
+                             cfg.classifier)
+        acc_u[it] = reports[0].accuracy
+        acc_p[:, it] = [report.accuracy for report in reports[1:]]
+    return acc_u, acc_p
+
+
+def reference_point(bundle, method, k, weights, cfg):
+    def std(values):
+        return float(values.std(ddof=1)) if values.size > 1 else 0.0
+
+    try:
+        acc_u, acc_p = reference_cell(bundle, method, k, weights, cfg)
+    except PrivprojError as exc:
+        nan_p = (math.nan,) * bundle.n_privacy
+        return TradeoffPoint(method, k, weights, math.nan, math.nan, nan_p,
+                             nan_p, {beta: math.nan for beta in cfg.betas},
+                             status=f"failed: {type(exc).__name__}: {exc}")
+    means = tuple(float(row.mean()) for row in acc_p)
+    scored = (max(means) if cfg.scored_privacy == "max" else means[0]) \
+        if means else None
+    acc_u_mean = float(acc_u.mean())
+    perf = {beta: acc_u_mean if scored is None
+            else performance(acc_u_mean, scored, beta) for beta in cfg.betas}
+    return TradeoffPoint(method, k, weights, acc_u_mean, std(acc_u), means,
+                         tuple(std(row) for row in acc_p), perf)
+
+
+def reference_sweep(cfg, bundle):
+    cells = [(FULL_BASELINE, bundle.train.n_features, ())]
+    cells += [(g.method, k, w) for g in cfg.methods for k in g.k_values
+              for w in g.weight_rows]
+    return [reference_point(bundle, *cell, cfg) for cell in cells]
+
+
+def csv_bytes(points, path):
+    csv_path, _ = emit_tradeoff_curve(points, path)
+    with open(csv_path, "rb") as fh:
+        return fh.read()
 
 
 def small_config(**overrides):
@@ -135,7 +225,7 @@ class TestRunSweep:
         bundle = small_bundle()
         cfg = small_config(iterations=4)
         point = run_sweep(cfg, bundle)[1]
-        acc_u, acc_p = _run_cell(bundle, "DCA", 1, (), cfg)
+        acc_u, acc_p = reference_cell(bundle, "DCA", 1, (), cfg)
         assert point.acc_u_mean == float(acc_u.mean())
         assert point.acc_u_std == float(acc_u.std(ddof=1))
         assert point.acc_p_means[0] == float(acc_p[0].mean())
@@ -183,6 +273,81 @@ class TestRunSweep:
         assert bad.failed and bad.status.startswith("failed: ")
         assert math.isnan(bad.acc_u_mean)
         assert all(math.isnan(v) for v in bad.performance.values())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("make_bundle, scored", [
+        (functools.partial(small_bundle, seed=3, m=6), "first"),
+        (bits_bundle, "max")])
+    def test_csv_bytes_match_per_cell_reference(self, tmp_path, threads,
+                                                make_bundle, scored):
+        """The iteration-major sweep (shared scatters and pencils, one
+        stacked eigensolve per iteration) writes the CSV bytes of fitting
+        and scoring every cell alone."""
+        bundle = make_bundle()
+        n_privacy = bundle.n_privacy
+        cfg = small_config(
+            methods=(MethodGrid("PCA", (1, 3)), MethodGrid("DCA", (1, 2)),
+                     MethodGrid("MDR", (1, 2)),
+                     MethodGrid("RUCA", (1, 2),
+                                ((0.0,) * n_privacy, (4.0,) * n_privacy,
+                                 (16.0,) + (0.0,) * (n_privacy - 1))),
+                     MethodGrid("RANDOM", (2,))),
+            iterations=3, betas=(0.5, 1.0), scored_privacy=scored)
+        got = csv_bytes(run_sweep(cfg, bundle, threads=threads),
+                        tmp_path / "sweep")
+        assert got == csv_bytes(reference_sweep(cfg, bundle),
+                                tmp_path / "reference")
+        assert b"failed" not in got
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad_grid, max_sweeps, status", [
+        (MethodGrid("DCA", (9,)), None,
+         "failed: InvalidK: k=9 out of range for dim 5"),
+        (MethodGrid("PCA", (6,)), None,
+         "failed: InvalidK: k=6 out of range 1..5"),
+        (MethodGrid("PCA", (1,)), 2,
+         "failed: NoConvergence: Jacobi did not converge in 2 sweeps (dim 5)"),
+    ])
+    def test_failing_cell_leaves_other_rows_unchanged(
+            self, tmp_path, monkeypatch, threads, bad_grid, max_sweeps,
+            status):
+        """A stack spans cells, so one failing cell must fail alone, with
+        the status a per-cell fit gives, and leave every other row as a
+        sweep without that cell writes it."""
+        if max_sweeps is not None:
+            monkeypatch.setattr(linalg, "sym_eig", functools.partial(
+                linalg.sym_eig, max_sweeps=max_sweeps))
+        bundle = small_bundle(seed=2)
+        good = (MethodGrid("MDR", (1,)),)
+        cfg = small_config(methods=(bad_grid, *good))
+        points = run_sweep(cfg, bundle, threads=threads)
+        bad = points[1]
+        assert bad.status == status
+        assert bad.status == reference_point(bundle, bad.method, bad.k,
+                                             bad.privacy_weights, cfg).status
+        rest = [p for i, p in enumerate(points) if i != 1]
+        alone = run_sweep(small_config(methods=good), bundle, threads=threads)
+        assert not any(p.failed for p in alone)
+        assert (csv_bytes(rest, tmp_path / "rest")
+                == csv_bytes(alone, tmp_path / "alone"))
+
+    def test_not_positive_definite_cell_fails_alone(self, tmp_path):
+        """A tiny ridge leaves MDR's rank-deficient privacy scatter
+        singular; DCA's total-scatter denominator stays definite."""
+        bundle = small_bundle(seed=2)
+        cfg = small_config(methods=(MethodGrid("MDR", (1, 2)),
+                                    MethodGrid("DCA", (1,))), rho=1e-300)
+        points = run_sweep(cfg, bundle, threads=2)
+        for bad in points[1:3]:
+            assert bad.status.startswith(
+                "failed: NotPositiveDefinite: pivot ")
+            assert bad.status == reference_point(
+                bundle, bad.method, bad.k, bad.privacy_weights, cfg).status
+        alone = run_sweep(small_config(methods=(MethodGrid("DCA", (1,)),),
+                                       rho=1e-300), bundle)
+        assert not any(p.failed for p in alone)
+        assert (csv_bytes([points[0], points[3]], tmp_path / "rest")
+                == csv_bytes(alone, tmp_path / "alone"))
 
     def test_privacy_accuracy_non_increasing_in_weight(self):
         bundle = tradeoff_bundle(seed=31, n_train=800, n_test=800, m=6)

@@ -3,8 +3,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from privproj.data import Dataset, LabelSet
 from privproj.errors import InputError, InvalidK, NoConvergence, NotPositiveDefinite
 from privproj import linalg
+from privproj.scatter import compute_scatter
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -195,3 +197,113 @@ class TestGeneralizedEig:
         scaled = linalg.generalized_eig(2.5 * a, b, 4)
         np.testing.assert_allclose(scaled.values, 2.5 * base.values, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(scaled.vectors, base.vectors, atol=1e-9)
+
+
+def assert_same_pairs(got, want):
+    """Bit for bit: values, vectors, the sign of every zero, and the
+    vectors' memory layout (BLAS products downstream follow it)."""
+    for a, b in ((got.values, want.values), (got.vectors, want.vectors)):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert got.vectors.strides == want.vectors.strides
+
+
+def assert_stack_matches_singles(matrices):
+    stacked = linalg.sym_eig(np.stack(matrices))
+    assert stacked.values.shape == (len(matrices), matrices[0].shape[0])
+    for j, a in enumerate(matrices):
+        assert_same_pairs(linalg.EigenPairs(stacked.values[j], stacked.vectors[j]),
+                          linalg.sym_eig(a))
+
+
+def bits_pencils(seed, m=12, n=300):
+    """Reduced DCA/MDR/RUCA pencils and the total scatter of census-style
+    0/1 data with a constant column (so s_bar and s_b are singular)."""
+    rng = np.random.default_rng(seed)
+    utility = rng.integers(0, 2, n)
+    privacy = rng.integers(0, 3, n)
+    p = 0.2 + 0.4 * utility + 0.15 * privacy
+    x = (rng.random((m, n)) < p).astype(float)
+    x[0] = 1.0
+    d = Dataset(x)
+    util = compute_scatter(d, LabelSet(utility, 2))
+    priv = compute_scatter(d, LabelSet(privacy, 3))
+    eye = np.eye(m)
+    rho = 1e-6 * np.trace(util.s_bar) / m
+    a = linalg.symmetrize(util.s_b + 1e-8 * np.trace(util.s_b) / m * eye)
+    out = [util.s_bar]
+    for denominator in (util.s_bar, priv.s_b, util.s_bar + 4.0 * priv.s_b,
+                        util.s_bar + 64.0 * priv.s_b):
+        lower = linalg.cholesky(linalg.symmetrize(denominator + rho * eye))
+        out.append(linalg.reduce_pencil(lower, a))
+    return out
+
+
+class TestStackedSymEig:
+    """A (B, m, m) stack is solved bit-identically to one call per matrix."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_census_style_pencils(self, seed):
+        assert_stack_matches_singles(bits_pencils(seed))
+
+    def test_rank_deficient_between_scatter(self):
+        # n < m samples and a constant column: s_b has rank <= classes - 1
+        # and whole zero rows, so many rotations are skipped in one matrix
+        # while they run in another.
+        rng = np.random.default_rng(5)
+        matrices = []
+        for classes in (2, 3, 4):
+            x = rng.standard_normal((9, 6))
+            x[4] = 2.5
+            labels = np.arange(6) % classes
+            s = compute_scatter(Dataset(x), LabelSet(labels, classes))
+            matrices += [s.s_b, s.s_bar]
+        assert_stack_matches_singles(matrices)
+
+    def test_one_by_one(self):
+        assert_stack_matches_singles([np.array([[v]]) for v in (-3.0, 0.0, -0.0, 2.5)])
+
+    def test_members_needing_different_sweep_counts(self):
+        rng = np.random.default_rng(9)
+        diagonal = np.diag([3.0, -1.0, 0.0, 2.0, 2.0])
+        near = diagonal + linalg.symmetrize(1e-9 * rng.standard_normal((5, 5)))
+        dense = random_symmetric(rng, 5, scale=4.0)
+        sweeps = []
+        for a in (diagonal, near, dense):
+            sweeps.append(next(s for s in range(20)
+                               if _converges(a, max_sweeps=s)))
+        assert len(set(sweeps)) == 3
+        assert_stack_matches_singles([dense, diagonal, near, dense.copy()])
+
+    def test_single_matrix_is_a_stack_of_one(self):
+        a = random_symmetric(np.random.default_rng(13), 7)
+        one = linalg.sym_eig(a[None])
+        assert_same_pairs(linalg.EigenPairs(one.values[0], one.vectors[0]),
+                          linalg.sym_eig(a))
+        # Column-major, as the vectors of a 2-D solve always were: the
+        # back-substitution's BLAS products, and so the bits of every
+        # fitted model, follow this layout.
+        assert linalg.sym_eig(a).vectors.flags.f_contiguous
+
+    def test_member_without_convergence_fails_the_call(self):
+        rng = np.random.default_rng(3)
+        dense = random_symmetric(rng, 6)
+        with pytest.raises(NoConvergence):
+            linalg.sym_eig(np.stack([np.eye(6), dense]), max_sweeps=0)
+        stacked = linalg.sym_eig(np.stack([np.eye(6), np.diag(np.arange(6.0))]),
+                                 max_sweeps=0)
+        assert np.array_equal(stacked.values[1], np.arange(6.0)[::-1])
+
+    def test_asymmetric_member_rejected(self):
+        bad = np.stack([np.eye(3), np.triu(np.ones((3, 3)))])
+        with pytest.raises(InputError):
+            linalg.sym_eig(bad)
+
+
+def _converges(a, max_sweeps):
+    try:
+        linalg.sym_eig(a, max_sweeps=max_sweeps)
+    except NoConvergence:
+        return False
+    return True

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import separated_instance
-from privproj import linalg
+from privproj import linalg, projections
 from privproj.data import Dataset, LabelSet
 from privproj.errors import (DimensionMismatch, InputError, InvalidK,
-                             RankDeficient, WeightMismatch)
+                             NoConvergence, RankDeficient, WeightMismatch)
 from privproj.projections import (ProjectionConfig, ProjectionModel,
-                                  fit_method, fit_pca, fit_random, load_model,
+                                  fit_method, fit_methods, fit_pca, fit_random,
+                                  load_model,
                                   model_from_json, model_to_json,
                                   modified_gram_schmidt, project, save_model,
                                   subspace_angle)
@@ -394,3 +395,97 @@ class TestDispatch:
         d, _, _ = separated_instance(19)
         with pytest.raises(InputError):
             fit_method(d, None, [], ProjectionConfig(method="DCA", k=1))
+
+
+class TestFitMethods:
+    """fit_methods shares scatters, pencils and one stacked eigensolve
+    across configs; each slot equals fitting its config alone."""
+
+    CONFIGS = (
+        ProjectionConfig("PCA", 1), ProjectionConfig("PCA", 4),
+        ProjectionConfig("DCA", 1), ProjectionConfig("DCA", 3),
+        ProjectionConfig("MDR", 2), ProjectionConfig("RUCA", 2,
+                                                     privacy_weights=(0.0, 0.0)),
+        ProjectionConfig("RUCA", 2, privacy_weights=(4.0, 0.0)),
+        ProjectionConfig("RUCA", 1, privacy_weights=(4.0, 1.0)),
+        ProjectionConfig("RUCA", 1, privacy_weights=(4.0,)),
+        ProjectionConfig("DCA", 9), ProjectionConfig("PCA", 9),
+        ProjectionConfig("DCA", 2, rho=1e-3),
+        ProjectionConfig("RANDOM", 2, seed=4), ProjectionConfig("RANDOM", 2),
+    )
+
+    def test_each_slot_equals_a_lone_fit(self):
+        d, util, priv = separated_instance(31, c_p=3)
+        _, _, priv2 = separated_instance(32, c_p=2)
+        privacy = (priv, priv2)
+        results = fit_methods(d, util, privacy, self.CONFIGS)
+        assert len(results) == len(self.CONFIGS)
+        failures = 0
+        for cfg, got in zip(self.CONFIGS, results):
+            try:
+                want = fit_method(d, util, privacy, cfg)
+            except (InputError, InvalidK, WeightMismatch) as exc:
+                failures += 1
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert model_to_json(got) == model_to_json(want)
+            assert got.w.strides == want.w.strides
+        assert failures == 4
+
+    def test_scatter_once_per_labeling_and_one_stacked_solve(self, monkeypatch):
+        d, util, priv = separated_instance(33, c_p=3)
+        calls = {"scatter": 0, "eig": []}
+        real_scatter, real_eig = projections.compute_scatter, linalg.sym_eig
+
+        def counting_scatter(*args):
+            calls["scatter"] += 1
+            return real_scatter(*args)
+
+        def counting_eig(a, *args, **kwargs):
+            calls["eig"].append(np.shape(a))
+            return real_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(projections, "compute_scatter", counting_scatter)
+        monkeypatch.setattr(linalg, "sym_eig", counting_eig)
+        configs = [ProjectionConfig("PCA", 2), ProjectionConfig("DCA", 1),
+                   ProjectionConfig("DCA", 2), ProjectionConfig("MDR", 1),
+                   ProjectionConfig("RUCA", 1, privacy_weights=(0.0,)),
+                   ProjectionConfig("RUCA", 1, privacy_weights=(2.0,))]
+        fit_methods(d, util, [priv], configs)
+        assert calls["scatter"] == 2
+        # PCA's s_bar, and the DCA (= zero-weight RUCA), MDR and RUCA[2] pencils.
+        assert calls["eig"] == [(4, d.n_features, d.n_features)]
+
+    def test_failing_stack_member_fails_alone(self, monkeypatch):
+        d, util, priv = separated_instance(34, c_p=3)
+        configs = [ProjectionConfig("PCA", 1), ProjectionConfig("MDR", 1)]
+
+        def sweeps_needed(cfg):
+            for limit in range(30):
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "sym_eig", _limited(limit))
+                    try:
+                        fit_method(d, util, [priv], cfg)
+                    except NoConvergence:
+                        continue
+                return limit
+
+        needed = [sweeps_needed(cfg) for cfg in configs]
+        limit = min(needed)
+        assert max(needed) > limit
+        ok = needed.index(limit)
+        monkeypatch.setattr(linalg, "sym_eig", _limited(limit))
+        results = fit_methods(d, util, [priv], configs)
+        assert model_to_json(results[ok]) == model_to_json(
+            fit_method(d, util, [priv], configs[ok]))
+        assert isinstance(results[1 - ok], NoConvergence)
+        assert str(results[1 - ok]) == (f"Jacobi did not converge in {limit} "
+                                        f"sweeps (dim {d.n_features})")
+
+
+def _limited(max_sweeps):
+    real = linalg.sym_eig
+
+    def sym_eig(a, *args, **kwargs):
+        return real(a, max_sweeps=max_sweeps)
+    return sym_eig
