@@ -130,7 +130,10 @@ def _read_table(path) -> tuple[list[str], list[str]]:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ParseError(f"{path}: empty file")
-        return header, [line.rstrip("\n") for line in fh]
+        lines = fh.read().split("\n")
+    if lines[-1] == "":  # split's remainder after a final line break
+        lines.pop()
+    return header, lines
 
 
 @dataclass(frozen=True)
@@ -340,8 +343,10 @@ def stratified_holdout(l: LabelSet, fraction: float,
 
 
 # --- dataset/label CSV persistence ------------------------------------------
-# Header rows go through csv, the unquoted numbers through numpy's text codec a
-# table at a time; 17 significant digits make float save -> load bit-exact.
+# Header rows go through csv. Values are written with the bytes np.savetxt's
+# %.17g gives, 17 significant digits that make save -> load bit-exact; where a
+# column holds only integers these are its %d digits, formatted from ints. The
+# body is read in one piece and parsed a table at a time by numpy's text codec.
 
 def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray | None:
     """(n_lines, n_fields) array of the comma-separated lines; None if numpy's
@@ -377,12 +382,17 @@ def _first_fault(lines: list[str], dtype, n_fields: int):
 def save_dataset_csv(d: Dataset, path) -> None:
     """One sample per row; header = feature names (x0.. if unnamed)."""
     names = d.feature_names or tuple(f"x{i}" for i in range(d.n_features))
-    # np.savetxt's row format, applied to rows of Python floats rather than
-    # of numpy scalars: the same bytes, formatted faster.
-    row = ",".join(["%.17g"] * d.n_features) + "\n"
+    x = d.x
+    # %.17g prints an integer below 2**53 in its %d digits, except -0.0 as
+    # "-0"; |x| < 2**53 also rules out nan and inf.
+    integral = ((np.abs(x) < 2.0 ** 53) & (x == np.floor(x))
+                & ~((x == 0) & np.signbit(x))).all(axis=1)
+    row = ",".join(["%d" if i else "%.17g" for i in integral]) + "\n"
+    columns = [(c.astype(np.int64) if i else c).tolist()
+               for c, i in zip(x, integral)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(names)
-        fh.writelines(row % tuple(values) for values in d.x.T.tolist())
+        fh.write("".join([row % values for values in zip(*columns)]))
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -400,7 +410,7 @@ def save_labels_csv(l: LabelSet, path) -> None:
     """Single column of class ids; the header carries the class count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow([f"label:{l.class_count}"])
-        np.savetxt(fh, l.labels, fmt="%d")
+        fh.write(("%d\n" * l.n_samples) % tuple(l.labels.tolist()))
 
 
 def load_labels_csv(path) -> LabelSet:

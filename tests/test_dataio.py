@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import warnings
 from importlib import resources
@@ -347,6 +348,150 @@ class TestPersistence:
         save_dataset_csv(d, p1)
         save_dataset_csv(d, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _unchecked_dataset(x):
+    """A Dataset over x without the constructor's checks, which reject the
+    non-finite and empty matrices the writer must still write as before."""
+    d = object.__new__(Dataset)
+    object.__setattr__(d, "x", np.asarray(x, dtype=np.float64))
+    object.__setattr__(d, "feature_names", None)
+    return d
+
+
+def _savetxt_dataset_bytes(d, path):
+    """The dataset writer as it was: every value through np.savetxt's %.17g."""
+    names = d.feature_names or tuple(f"x{i}" for i in range(d.n_features))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        np.savetxt(fh, d.x.T, fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+def _savetxt_labels_bytes(l, path):
+    """The label writer as it was: np.savetxt's %d, one value per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([f"label:{l.class_count}"])
+        np.savetxt(fh, l.labels, fmt="%d")
+    return path.read_bytes()
+
+
+# Values at the edges of the integer format: -0.0 prints "-0" under %.17g,
+# above 2**53 floats are spaced 2 or more apart, and 1e16 and 1e17 sit on
+# either side of %.17g's switch to exponent notation.
+EDGE_VALUES = (-0.0, 0.0, 2.0 ** 53 - 1, -(2.0 ** 53 - 1), 2.0 ** 53,
+               -(2.0 ** 53), 1e16, 1e17, 5e-324, np.nan, np.inf, -np.inf)
+
+_integral_values = st.integers(-(2 ** 53 - 1), 2 ** 53 - 1).map(float)
+_any_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(),
+                        st.integers(-3, 3).map(float), _integral_values)
+
+
+@st.composite
+def _tables(draw):
+    """(m, n) float matrices whose columns are all-integral or anything."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    return np.array([draw(st.lists(draw(st.sampled_from(
+        (_integral_values, _any_values))), min_size=n, max_size=n))
+        for _ in range(m)], dtype=np.float64).reshape(m, n)
+
+
+class TestWriterBytes:
+    """save_dataset_csv / save_labels_csv write np.savetxt's bytes."""
+
+    @pytest.mark.parametrize("x", [
+        [[0, 1, 1, 0], [1, 0, 1, 1], [39, 50, 38, 53], [77516, 83311, 0, 7]],
+        [[0, 1, 1, 0], [0.5, -1 / 3, 2.0, 1e-7], [3, -4, 5, 2 ** 40]],
+        [[0.5, -1 / 3, 1e300, 1e-7], [np.pi, -np.e, 2.5, 1e-310]],
+        *([[1, 2, 3], [v, 4, 5]] for v in EDGE_VALUES),
+        [[0, 1, 2, -3]],
+        np.empty((3, 0)),
+    ], ids=["integral", "mixed", "float",
+            *(f"edge-{v!r}" for v in EDGE_VALUES), "one-feature", "no-samples"])
+    def test_dataset_matches_savetxt(self, tmp_path, x):
+        d = _unchecked_dataset(x)
+        save_dataset_csv(d, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            _savetxt_dataset_bytes(d, tmp_path / "old.csv")
+
+    @given(_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_matches_savetxt_on_random_tables(self, tmp_path_factory, x):
+        tmp = tmp_path_factory.mktemp("writer")
+        d = _unchecked_dataset(x)
+        save_dataset_csv(d, tmp / "new.csv")
+        assert (tmp / "new.csv").read_bytes() == \
+            _savetxt_dataset_bytes(d, tmp / "old.csv")
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 4096])
+    @pytest.mark.parametrize("classes", [2, 3, 12])
+    def test_labels_match_savetxt(self, tmp_path, n, classes):
+        l = LabelSet(np.random.default_rng(n).integers(0, classes, n), classes)
+        save_labels_csv(l, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            _savetxt_labels_bytes(l, tmp_path / "old.csv")
+
+
+class TestReaderEdges:
+    """Line endings and trailing blank lines, pinned at the lines, values and
+    faults a line-by-line read gives."""
+
+    CASES = {  # id: (dataset body, label body, body lines), after the header
+        "no-final-newline": (b"1,2\n3,4", b"0\n1", ["1,2", "3,4"]),
+        "crlf": (b"1,2\r\n3,4\r\n", b"0\r\n1\r\n", ["1,2", "3,4"]),
+        "trailing-blank": (b"1,2\n3,4\n\n", b"0\n1\n\n", ["1,2", "3,4", ""]),
+        "two-trailing-blanks": (b"1,2\n3,4\n\n\n", b"0\n1\n\n\n",
+                                ["1,2", "3,4", "", ""]),
+        "lone-cr": (b"1,2\r3,4\n", b"0\r1\n", ["1,2", "3,4"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_read_table_lines(self, tmp_path, case):
+        body, _, lines = self.CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\r\n" + body)
+        assert dataio._read_table(path) == (["a", "b"], lines)
+
+    @pytest.mark.parametrize("text, lines", [(b"a,b", []), (b"a,b\n", []),
+                                             (b"a,b\n\n", [""])],
+                             ids=["header-no-newline", "header-only", "blank"])
+    def test_read_table_header_only(self, tmp_path, text, lines):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        assert dataio._read_table(path) == (["a", "b"], lines)
+
+    @pytest.mark.parametrize("case, fault", [
+        ("no-final-newline", None), ("crlf", None),
+        ("trailing-blank", ":4: expected 2 fields, got 0"),
+        ("two-trailing-blanks", ":4: expected 2 fields, got 0"),
+        ("lone-cr", None)])
+    def test_load_dataset(self, tmp_path, case, fault):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n" + self.CASES[case][0])
+        if fault is None:
+            d = load_dataset_csv(path)
+            assert d.x.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+            assert d.feature_names == ("a", "b")
+        else:
+            with pytest.raises(ParseError) as info:
+                load_dataset_csv(path)
+            assert str(info.value) == f"{path}{fault}"
+
+    @pytest.mark.parametrize("case, fault", [
+        ("no-final-newline", None), ("crlf", None),
+        ("trailing-blank", ":4: bad label row []"),
+        ("two-trailing-blanks", ":4: bad label row []"),
+        ("lone-cr", None)])
+    def test_load_labels(self, tmp_path, case, fault):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"label:2\n" + self.CASES[case][1])
+        if fault is None:
+            l = load_labels_csv(path)
+            assert l.labels.tolist() == [0, 1] and l.class_count == 2
+        else:
+            with pytest.raises(ParseError) as info:
+                load_labels_csv(path)
+            assert str(info.value) == f"{path}{fault}"
 
 
 class TestShippedSchemas:
