@@ -25,7 +25,7 @@ picks how that set is found:
 
   dense   fewer than FAST_MIN_TRAIN training samples (so nearest-centroid
           always): the whole (n_train, n_chunk) block, selected with
-          `np.partition` at the k-th distance.
+          `np.partition` at the k-th distance, or `argmin` when k=1.
   window  1-D data: training values sorted once by (value, index); each
           test point's k nearest lie among the 2k sorted values around its
           `searchsorted` position. A column whose k-th-distance ties reach
@@ -120,6 +120,8 @@ def _select(dist: np.ndarray, k: int) -> np.ndarray:
     """(k, n_chunk) row indices of the k smallest entries of each column,
     ascending: every entry below the column's k-th smallest value, then
     entries equal to it, lowest row first."""
+    if k == 1:
+        return dist.argmin(axis=0)[None]  # the first of equal minima
     kth = np.partition(dist, k - 1, axis=0)[k - 1]
     keep = dist <= kth
     # More than k entries at or below the k-th value: ties straddle it, and

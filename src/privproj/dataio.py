@@ -1,7 +1,13 @@
 """CSV ingestion, categorical bit-encoding, balancing, and subsampling.
 
 Input tables are RFC-4180 CSV with a header row. A JSON schema assigns each
-column a kind, and load_csv converts each column whole, not cell by cell:
+column a kind. load_csv streams the file in blocks of BLOCK_ROWS rows and
+converts each column of a block whole, not cell by cell, while the block's
+cells are still in cache; only the floats and codes are kept, so memory is
+about the output table plus one block. A file with a fault is read again as
+one block, which reports the fault a whole-file read meets first: a row of
+the wrong width, else the first column in schema order that fails, at its
+first failing row's file line. The kinds:
 
   numeric      parsed with float, passed through as one feature
   categorical  mapped to its 0-based index in the schema's ordered category
@@ -40,6 +46,10 @@ __all__ = [
 ]
 
 COLUMN_KINDS = ("numeric", "categorical", "label", "drop")
+
+#: Rows load_csv reads and converts at a time: a block's cells are converted
+#: while they are still in cache, and only their floats and codes are kept.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,10 @@ def _encode_bits(index: np.ndarray, n_bits: int) -> np.ndarray:
 def _read_table(path) -> tuple[list[str], list[str]]:
     """(header fields, body lines) of a numeric table file."""
     with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
         if header is None:
             raise ParseError(f"{path}: empty file")
         lines = fh.read().split("\n")
@@ -155,37 +168,101 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
 
     recoders: optional {column_name: str -> str} transforms applied to raw
     cell values before category lookup (e.g. the census marital regrouping),
-    once per distinct value.
+    once per distinct value of the kept rows, in first-seen order.
+
+    The file is read and converted BLOCK_ROWS rows at a time, so memory is
+    about the output table plus one block of cells. If a block fails, the
+    whole file is read again as one block, so the error is the one a
+    whole-file read gives: width faults first, then columns in schema order.
     """
+    try:
+        return _load_blocks(path, schema, recoders, BLOCK_ROWS)
+    except Exception:
+        # A block's fault need not be the file's first: a later row may have
+        # the wrong width, or a later block fail in an earlier column. Read
+        # as one block, the file raises the fault it meets first.
+        return _load_blocks(path, schema, recoders, None)
+
+
+def _load_blocks(path, schema: TableSchema, recoders,
+                 block_rows: int | None) -> LoadedCsv:
+    """load_csv reading block_rows rows at a time, or all rows if None."""
     expected = [c.name for c in schema.columns]
+    parts, code_maps, n_rows = [], {}, 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
         if header != expected:
             raise ParseError(f"{path}: empty file" if header is None else
                              f"{path}: header {header!r} does not match schema "
                              f"columns {expected!r}")
-        rows, starts = [], [reader.line_num + 1]  # a cell may span lines
-        for row in reader:
-            if len(row) != len(expected):
-                raise ParseError(f"{path}:{starts[-1]}: expected "
-                                 f"{len(expected)} fields, got {len(row)}")
-            rows.append(row)
-            starts.append(reader.line_num + 1)
-    rows = np.array(rows, dtype=object).reshape(len(rows), len(expected))
-    used = [j for j, col in enumerate(schema.columns) if col.kind != "drop"]
-    kept = np.flatnonzero((rows[:, used] != "").all(axis=1))
-    if not kept.size:
+        for rows, starts in _read_blocks(path, reader, len(expected),
+                                         block_rows):
+            n_rows += len(rows)
+            part = _convert_block(path, schema, rows, starts, code_maps,
+                                  recoders or {})
+            if part is not None:
+                parts.append(part)
+    if not parts:
         raise ParseError(f"{path}: no usable rows after dropping "
-                         f"{len(rows)} incomplete rows")
+                         f"{n_rows} incomplete rows")
+    tables, codes = zip(*parts)
+    table = np.concatenate(tables)  # a row per sample
+    labels = {col.name: LabelSet(np.concatenate([c[col.name] for c in codes]),
+                                 len(col.categories))
+              for col in schema.columns if col.kind == "label"}
+    return LoadedCsv(Dataset(table.T, schema.feature_names), labels,
+                     n_rows_kept=len(table), n_rows_dropped=n_rows - len(table))
 
-    table = np.empty((kept.size, schema.n_features))  # a row per sample
+
+def _read_blocks(path, reader, width: int, block_rows: int | None):
+    """(rows, their first file lines) of up to block_rows csv rows at a time,
+    or of every row if block_rows is None."""
+    rows, starts, start = [], [], reader.line_num + 1  # a cell may span lines
+    try:
+        for row in reader:
+            if len(row) != width:
+                raise ParseError(f"{path}:{start}: expected {width} fields, "
+                                 f"got {len(row)}")
+            rows.append(row)
+            starts.append(start)
+            start = reader.line_num + 1
+            if len(rows) == block_rows:
+                yield rows, starts
+                rows, starts = [], []
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{start}: {exc}") from None
+    if rows:
+        yield rows, starts
+
+
+def _convert_block(path, schema: TableSchema, rows, starts, code_maps,
+                   recoders):
+    """(table, {label column: codes}) of the block's rows without a blank
+    non-drop cell, or None if there are none. code_maps holds each coded
+    column's {cell: code} from block to block."""
+    used = [j for j, col in enumerate(schema.columns) if col.kind != "drop"]
+    columns = list(zip(*rows))
+    kept = range(len(rows))
+    blank = {i for j in used if not all(columns[j])
+             for i, cell in enumerate(columns[j]) if not cell}
+    if blank:
+        kept = [i for i in kept if i not in blank]
+        if not kept:
+            return None
+        columns = list(zip(*map(rows.__getitem__, kept)))
+
+    table = np.empty((len(kept), schema.n_features))
     labels, feature = {}, 0
     for j, col in enumerate(schema.columns):
-        column = rows[kept, j]
+        column = columns[j]
         if col.kind == "numeric":
             try:
-                table[:, feature] = column.astype(np.float64)
+                table[:, feature] = np.fromiter(map(float, column), np.float64,
+                                                len(column))
             except ValueError:
                 for i, cell in zip(kept, column):
                     try:
@@ -195,23 +272,31 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
                                          f"{cell!r} is not numeric") from None
             feature += 1
         elif col.kind != "drop":
-            index = {category: i for i, category in enumerate(col.categories)}
-            recode = (recoders or {}).get(col.name, str)
-            code_of = {v: index.get(recode(v), -1) for v in dict.fromkeys(column)}
-            codes = np.fromiter(map(code_of.get, column), np.int64, column.size)
+            recode = recoders.get(col.name, str)
+            code_of = code_maps.setdefault(j, {})
+            try:
+                codes = np.fromiter(map(code_of.__getitem__, column), np.int64,
+                                    len(column))
+            except KeyError:  # values no earlier block held
+                codes = None
+            if codes is None:
+                index = {category: i for i, category in enumerate(col.categories)}
+                code_of.update((v, index.get(recode(v), -1))
+                               for v in dict.fromkeys(column) if v not in code_of)
+                codes = np.fromiter(map(code_of.__getitem__, column), np.int64,
+                                    len(column))
             if codes.min() < 0:
                 first = np.argmax(codes < 0)
                 raise UnknownCategory(
                     f"{path}:{starts[kept[first]]}: column {col.name!r}: "
                     f"unknown category {recode(column[first])!r}")
             if col.kind == "label":
-                labels[col.name] = LabelSet(codes, len(col.categories))
+                labels[col.name] = codes
             else:
                 table[:, feature:feature + col.n_bits] = _encode_bits(
                     codes, col.n_bits)
                 feature += col.n_bits
-    return LoadedCsv(Dataset(table.T, schema.feature_names), labels,
-                     n_rows_kept=kept.size, n_rows_dropped=len(rows) - kept.size)
+    return table, labels
 
 
 #: Census marital-status regrouping: 7 raw categories down to 3.
@@ -362,12 +447,16 @@ def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray | None:
     return table if table.shape == (len(lines), n_fields) else None
 
 
-def _first_fault(lines: list[str], dtype, n_fields: int):
+def _first_fault(path, lines: list[str], dtype, n_fields: int):
     """(file line, csv fields, reason) of the first line _parse_lines rejects
     alone; the reason is float's or int's message where that fails too, else
-    it names the first field only numpy rejects."""
+    it names the first field only numpy rejects. A line csv rejects raises
+    ParseError."""
     for line_no, line in enumerate(lines, start=2):
-        row = next(csv.reader([line]))
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from None
         try:
             if len(row) != n_fields:
                 raise ValueError(f"expected {n_fields} fields, got {len(row)}")
@@ -401,7 +490,7 @@ def load_dataset_csv(path) -> Dataset:
         raise ParseError(f"{path}: no data rows")
     rows = _parse_lines(lines, np.float64, len(header))
     if rows is None:
-        line_no, _, reason = _first_fault(lines, np.float64, len(header))
+        line_no, _, reason = _first_fault(path, lines, np.float64, len(header))
         raise ParseError(f"{path}:{line_no}: {reason}")
     return Dataset(rows.T, feature_names=tuple(header))
 
@@ -425,6 +514,6 @@ def load_labels_csv(path) -> LabelSet:
         raise ParseError(f"{path}: no label rows")
     rows = _parse_lines(lines, np.int64, 1)
     if rows is None:
-        line_no, row, _ = _first_fault(lines, np.int64, 1)
+        line_no, row, _ = _first_fault(path, lines, np.int64, 1)
         raise ParseError(f"{path}:{line_no}: bad label row {row!r}")
     return LabelSet(rows[:, 0], class_count)

@@ -419,6 +419,29 @@ class TestNearestCentroid:
                              ClassifierSpec("NEAREST_CENTROID"))
         assert report.accuracy == 1.0  # predicted 0, true 0
 
+    def test_equidistant_means_pick_the_smallest_tied_class(self):
+        # Class means at the four corners (+-1, +-1) and a fifth class at
+        # (3, 0). The origin ties classes 0-3, (0, 1) ties 1 and 3, (1, 0)
+        # ties 2 and 3, (2, 0.5) ties 3 and 4, (-1, 0) ties 0 and 1, and
+        # (3, 0) ties nothing.
+        corners = np.array([[-1.0, -1.0, 1.0, 1.0, 3.0],
+                            [-1.0, 1.0, -1.0, 1.0, 0.0]])
+        train = Dataset(np.repeat(corners, 2, axis=1))
+        tl = LabelSet(np.repeat(np.arange(5), 2), 5)
+        test = Dataset(np.array([[0.0, 0.0, 1.0, 2.0, -1.0, 3.0],
+                                 [0.0, 1.0, 0.0, 0.5, 0.0, 0.0]]))
+        want = np.array([0, 1, 2, 3, 0, 4])
+        means = classify.class_means(train, tl)
+        dist = classify._sq_distances(means, test.x)
+        assert np.array_equal(classify._select(dist, 1), want[None])
+        assert np.array_equal(classify._select(dist, 1),
+                              argsort_neighbors(means, test.x, 1))
+        assert np.array_equal(
+            centroid_brute_force(train.x, tl.labels, 5, test.x), want)
+        report, = train_eval(train, (tl,), test, (LabelSet(want, 5),),
+                             ClassifierSpec("NEAREST_CENTROID"))
+        assert report.accuracy == 1.0
+
 
 class TestInvariances:
     def test_repeat_runs_bit_identical(self):

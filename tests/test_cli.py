@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import hashlib
 import json
 
@@ -155,6 +156,18 @@ class TestPreprocess:
                      "--balance-on", "nope",
                      "--output", str(tmp_path / "out")])
         assert code == 2
+
+    def test_oversized_field_exits_2_naming_line(self, tmp_path,
+                                                 toy_schema_path, capsys):
+        raw = tmp_path / "raw.csv"
+        write_raw_rows(raw, [("1.0", "a", "yes"),
+                             ("2.0", "b" * (csv.field_size_limit() + 1), "no")])
+        code = main(["preprocess", "--input", str(raw),
+                     "--schema", str(toy_schema_path),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{raw}:3: field larger than field limit" in err
 
     def test_missing_input_file_exits_2(self, tmp_path, toy_schema_path):
         code = main(["preprocess", "--input", str(tmp_path / "absent.csv"),

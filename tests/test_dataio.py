@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import warnings
 from importlib import resources
 
@@ -24,6 +25,11 @@ TOY_SCHEMA = TableSchema((
     ColumnSchema("note", "drop"),
     ColumnSchema("group", "label", ("yes", "no")),
 ))
+
+
+#: A field one character over csv's size limit, and csv's message for it.
+LONG_FIELD = "n" * (csv.field_size_limit() + 1)
+LONG_FIELD_REASON = f"field larger than field limit ({csv.field_size_limit()})"
 
 
 def write_csv(path, rows, header="height,color,note,group"):
@@ -122,6 +128,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="header"):
             load_csv(p, TOY_SCHEMA)
 
+    @pytest.mark.parametrize("header, body, where", [
+        ("height,color,note,group",
+         ["1,a,x,yes", '2,a,"x\ny",no', f"3,a,{LONG_FIELD},no"], ":5"),
+        (f"height,color,{LONG_FIELD},group", ["1,a,x,yes"], ":1"),
+    ], ids=["body", "header"])
+    def test_field_over_csv_limit_names_line(self, tmp_path, header, body,
+                                             where):
+        p = tmp_path / "t.csv"
+        write_csv(p, body, header=header)
+        with pytest.raises(ParseError) as info:
+            load_csv(p, TOY_SCHEMA)
+        assert str(info.value) == f"{p}{where}: {LONG_FIELD_REASON}"
+
     def test_recoder_applied_before_lookup(self, tmp_path):
         schema = TableSchema((ColumnSchema("f", "numeric"),
                               ColumnSchema("m", "label",
@@ -162,6 +181,200 @@ class TestLoadCsv:
         digest.update(f"{loaded.n_rows_kept},{loaded.n_rows_dropped}".encode())
         assert digest.hexdigest() == ("65252caff62be54b5b5eff699dbd396e"
                                       "e1484589feb491ea45af1fd6f10fcddd")
+
+
+def _whole_file_load_csv(path, schema, recoders=None):
+    """The loader as it was: every cell of the file in one object array,
+    converted a whole column at a time."""
+    expected = [c.name for c in schema.columns]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise ParseError(f"{path}: empty file" if header is None else
+                             f"{path}: header {header!r} does not match schema "
+                             f"columns {expected!r}")
+        rows, starts = [], [reader.line_num + 1]
+        for row in reader:
+            if len(row) != len(expected):
+                raise ParseError(f"{path}:{starts[-1]}: expected "
+                                 f"{len(expected)} fields, got {len(row)}")
+            rows.append(row)
+            starts.append(reader.line_num + 1)
+    rows = np.array(rows, dtype=object).reshape(len(rows), len(expected))
+    used = [j for j, col in enumerate(schema.columns) if col.kind != "drop"]
+    kept = np.flatnonzero((rows[:, used] != "").all(axis=1))
+    if not kept.size:
+        raise ParseError(f"{path}: no usable rows after dropping "
+                         f"{len(rows)} incomplete rows")
+    table = np.empty((kept.size, schema.n_features))
+    labels, feature = {}, 0
+    for j, col in enumerate(schema.columns):
+        column = rows[kept, j]
+        if col.kind == "numeric":
+            try:
+                table[:, feature] = column.astype(np.float64)
+            except ValueError:
+                for i, cell in zip(kept, column):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(f"{path}:{starts[i]}: column {col.name!r}: "
+                                         f"{cell!r} is not numeric") from None
+            feature += 1
+        elif col.kind != "drop":
+            index = {category: i for i, category in enumerate(col.categories)}
+            recode = (recoders or {}).get(col.name, str)
+            code_of = {v: index.get(recode(v), -1) for v in dict.fromkeys(column)}
+            codes = np.fromiter(map(code_of.get, column), np.int64, column.size)
+            if codes.min() < 0:
+                first = np.argmax(codes < 0)
+                raise UnknownCategory(
+                    f"{path}:{starts[kept[first]]}: column {col.name!r}: "
+                    f"unknown category {recode(column[first])!r}")
+            if col.kind == "label":
+                labels[col.name] = LabelSet(codes, len(col.categories))
+            else:
+                table[:, feature:feature + col.n_bits] = dataio._encode_bits(
+                    codes, col.n_bits)
+                feature += col.n_bits
+    return dataio.LoadedCsv(Dataset(table.T, schema.feature_names), labels,
+                            n_rows_kept=kept.size,
+                            n_rows_dropped=len(rows) - kept.size)
+
+
+def _outcome(load, path, schema, recoders=None):
+    """Everything a caller can see of one load: value bytes, layout, names,
+    labelings and counts, or the error's class and message."""
+    try:
+        loaded = load(path, schema, recoders)
+    except Exception as exc:
+        return type(exc), str(exc)
+    x = loaded.dataset.x
+    return (x.tobytes(), x.dtype, x.shape, x.strides, loaded.dataset.feature_names,
+            [(name, ls.labels.tobytes(), ls.labels.dtype, ls.class_count)
+             for name, ls in loaded.labels.items()],
+            loaded.n_rows_kept, loaded.n_rows_dropped)
+
+
+def _recode_color(value):
+    if value == "!":
+        raise UnknownCategory(f"cannot recode {value!r}")
+    return {"A": "a"}.get(value, value)
+
+
+#: Block sizes the streaming loader is checked at: a block per row, blocks
+#: that split the test files at several places, and the shipped size.
+BLOCK_SIZES = [1, 2, 3, dataio.BLOCK_ROWS]
+
+#: name: (kind, categories, cells that load, cells that drop or fault).
+_RANDOM_COLUMNS = {
+    "height": ("numeric", None, ["1", "-2.5", "1e3", " 7 "], ["", "x"]),
+    "color": ("categorical", ("a", "b", "c\nd"), ["a", "A", "b", "c\nd"],
+              ["", "z", "!"]),
+    "note": ("drop", None, ["q", "r\ns"], [""]),
+    "group": ("label", ("yes", "no"), ["yes", "no"], ["", "maybe"]),
+    "weight": ("numeric", None, ["0", "3.25"], ["", "1,5"]),
+}
+
+
+@st.composite
+def _raw_files(draw):
+    """(schema, file text) of 0-9 rows over the columns above in any order;
+    most rows are valid, the rest may hold blank or faulty cells, and a few
+    have the wrong width. Quoted multi-line cells shift the file lines of
+    the rows after them, across block edges."""
+    names = draw(st.permutations(list(_RANDOM_COLUMNS)))
+    schema = TableSchema(tuple(ColumnSchema(name, *_RANDOM_COLUMNS[name][:2])
+                               for name in names))
+    lines = io.StringIO()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerow(names)
+    for _ in range(draw(st.integers(0, 9))):
+        clean = draw(st.sampled_from([True, True, True, False]))
+        row = []
+        for name in names:
+            valid, odd = _RANDOM_COLUMNS[name][2:]
+            row.append(draw(st.sampled_from(valid if clean else valid + odd)))
+        width = draw(st.sampled_from(["same"] * 30 + ["short", "long"]))
+        writer.writerow(row[:-1] if width == "short" else
+                        row + ["1"] if width == "long" else row)
+    return schema, lines.getvalue()
+
+
+class TestBlockLoader:
+    """load_csv in blocks of BLOCK_ROWS rows against the whole-file loader."""
+
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    @given(_raw_files())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_whole_file_loader(self, tmp_path_factory, block_rows,
+                                       case):
+        schema, text = case
+        path = tmp_path_factory.mktemp("raw") / "t.csv"
+        path.write_text(text, newline="")
+        recoders = {"color": _recode_color}
+        want = _outcome(_whole_file_load_csv, path, schema, recoders)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+            assert _outcome(load_csv, path, schema, recoders) == want
+
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    @pytest.mark.parametrize("body, fault", [
+        (["1,a,x,yes", ",z,x,no", "2,b,x,no"], None),
+        (["1,a,,yes", "2,b,x,"], None),
+        (["1,a,x,yes", "2,b,x,maybe", "3,c,x,yes", "oops,a,x,no"],
+         ":5: column 'height': 'oops' is not numeric"),
+        (["1,a,x,yes", "2,z,x,yes", "3,b,x,no", "oops,a,x,no"],
+         ":5: column 'height': 'oops' is not numeric"),
+        (["oops,a,x,yes", "1,a,x,yes", "1,a,x"],
+         ":4: expected 4 fields, got 3"),
+        (["1,a,x,yes", "2,z,x,no", "1,a,x,yes,5"],
+         ":4: expected 4 fields, got 5"),
+        (['1,a,"x\ny",yes', '2,b,"p\n\nq",no', "3,c,x,yes"], None),
+        (['1,a,"x\ny",yes', '2,b,"p\n\nq",no', "3,c,x,maybe"],
+         ":7: column 'group': unknown category 'maybe'"),
+        ([], ": no usable rows after dropping 0 incomplete rows"),
+        ([",a,x,yes", "1,,x,no", "2,b,x,"],
+         ": no usable rows after dropping 3 incomplete rows"),
+    ], ids=["unknown-only-in-dropped-row", "blank-drop-and-label-cells",
+            "faults-in-reverse-schema-order", "unknown-before-numeric-fault",
+            "width-after-conversion-fault", "width-after-unknown-category",
+            "multi-line-cells", "multi-line-cells-then-fault", "empty-body",
+            "every-row-dropped"])
+    def test_edge_files(self, tmp_path, monkeypatch, block_rows, body, fault):
+        path = tmp_path / "t.csv"
+        write_csv(path, body)
+        want = _outcome(_whole_file_load_csv, path, TOY_SCHEMA)
+        monkeypatch.setattr(dataio, "BLOCK_ROWS", block_rows)
+        assert _outcome(load_csv, path, TOY_SCHEMA) == want
+        if fault is None:
+            assert len(want) > 2
+        else:
+            assert want[1] == f"{path}{fault}"
+
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    def test_recoders_see_each_kept_value_once_in_order(self, tmp_path,
+                                                        monkeypatch,
+                                                        block_rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["1,b,x,yes", "2,a,x,no", ",z,x,maybe", "3,b,x,no",
+                         "4,c,,yes", "5,,x,nope", "6,a,x,yes", "7,c,x,no"])
+        calls = {"color": [], "group": []}
+
+        def counting(name):
+            def recode(value):
+                calls[name].append(value)
+                return value
+            return recode
+
+        monkeypatch.setattr(dataio, "BLOCK_ROWS", block_rows)
+        loaded = load_csv(path, TOY_SCHEMA,
+                          recoders={name: counting(name) for name in calls})
+        assert calls == {"color": ["b", "a", "c"], "group": ["yes", "no"]}
+        assert loaded.n_rows_kept == 6 and loaded.n_rows_dropped == 2
+        np.testing.assert_array_equal(loaded.labels["group"].labels,
+                                      [0, 1, 1, 0, 0, 1])
 
 
 class TestMaritalRecode:
@@ -315,10 +528,17 @@ class TestPersistence:
         (load_labels_csv, "label:2\n1.7\n0\n", ":2", "bad label row ['1.7']"),
         (load_labels_csv, "label:2\n0,7\n1\n", ":2",
          "bad label row ['0', '7']"),
+        (load_dataset_csv, f"a,{LONG_FIELD}\n1,2\n", ":1", LONG_FIELD_REASON),
+        (load_dataset_csv, f"a,b\n1,2\n3,{LONG_FIELD}\n", ":3",
+         LONG_FIELD_REASON),
+        (load_labels_csv, f"label:2\n0\n{LONG_FIELD}\n", ":3",
+         LONG_FIELD_REASON),
     ], ids=["short", "long", "blank", "non-numeric", "empty", "header-only",
             "numpy-rejects", "labels-empty", "labels-header-only",
             "labels-bad-header", "labels-bad-count", "labels-blank",
-            "labels-non-integer", "labels-float", "labels-extra-field"])
+            "labels-non-integer", "labels-float", "labels-extra-field",
+            "header-over-csv-limit", "field-over-csv-limit",
+            "labels-field-over-csv-limit"])
     def test_malformed_table_names_file_and_line(self, tmp_path, load, text,
                                                  where, message):
         path = tmp_path / "t.csv"
