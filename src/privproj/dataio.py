@@ -24,6 +24,7 @@ with categories [a, b, c], value "c" has index 2 and encodes as (1, 0).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, LabelSet
-from .errors import InputError, ParseError, UnknownCategory
+from .errors import InputError, ParseError, PrivprojError, UnknownCategory
 from .seeds import mix, rng_from
 
 __all__ = [
@@ -106,6 +107,18 @@ class TableSchema:
         return len(self.feature_names)
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """path read as UTF-8 text; a byte that does not decode is a ParseError."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: byte "
+                             f"{exc.object[exc.start]:#04x} ({exc.reason})"
+                             ) from None
+
+
 def schema_from_json(text: str) -> TableSchema:
     try:
         doc = json.loads(text)
@@ -125,7 +138,7 @@ def schema_from_json(text: str) -> TableSchema:
 
 
 def load_schema(path) -> TableSchema:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return schema_from_json(fh.read())
 
 
@@ -136,7 +149,7 @@ def _encode_bits(index: np.ndarray, n_bits: int) -> np.ndarray:
 
 def _read_table(path) -> tuple[list[str], list[str]]:
     """(header fields, body lines) of a numeric table file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             header = next(csv.reader(fh), None)
         except csv.Error as exc:
@@ -177,7 +190,7 @@ def load_csv(path, schema: TableSchema, recoders=None) -> LoadedCsv:
     """
     try:
         return _load_blocks(path, schema, recoders, BLOCK_ROWS)
-    except Exception:
+    except PrivprojError:
         # A block's fault need not be the file's first: a later row may have
         # the wrong width, or a later block fail in an earlier column. Read
         # as one block, the file raises the fault it meets first.
@@ -189,7 +202,7 @@ def _load_blocks(path, schema: TableSchema, recoders,
     """load_csv reading block_rows rows at a time, or all rows if None."""
     expected = [c.name for c in schema.columns]
     parts, code_maps, n_rows = [], {}, 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -336,7 +349,7 @@ def normalize_adult_csv(src_path, dst_path) -> int:
     data rows written.
     """
     written = 0
-    with open(src_path, encoding="utf-8") as src, \
+    with open_text(src_path) as src, \
             open(dst_path, "w", encoding="utf-8", newline="") as dst:
         writer = csv.writer(dst, lineterminator="\n")
         writer.writerow(ADULT_COLUMNS)

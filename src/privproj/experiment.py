@@ -23,17 +23,18 @@ import json
 import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
-from .dataio import subsample
-from .errors import InputError, PrivprojError
+from .dataio import open_text, subsample
+from .errors import (DimensionMismatch, InputError, LengthMismatch,
+                     PrivprojError)
 # fit_method is unused here but stays importable: bench/workloads.py wraps
 # experiment.fit_method by name.
-from .projections import (METHODS, ProjectionConfig, fit_method,  # noqa: F401
+from .projections import (ProjectionConfig, fit_method,  # noqa: F401
                           fit_methods, project)
 from .seeds import mix
 
@@ -57,26 +58,29 @@ class MethodGrid:
 
     A weight row assigns one non-negative weight per privacy task. Only
     RUCA takes weights; every other method has the single empty row, since
-    a row there would only repeat the same fit under a label it ignores."""
+    a row there would only repeat the same fit under a label it ignores.
+    `cells` holds each (k, row) as a `ProjectionConfig`, which checks it."""
 
     method: str
     k_values: tuple[int, ...]
     weight_rows: tuple[tuple[float, ...], ...] = ((),)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}")
-        ks = tuple(int(k) for k in self.k_values)
-        if not ks or any(k < 1 for k in ks):
-            raise InputError(f"k_values must be positive integers, got {ks}")
-        rows = tuple(tuple(float(w) for w in row) for row in self.weight_rows)
-        if not rows:
-            raise InputError("weight_rows must not be empty; use ((),)")
+        ks, rows = tuple(self.k_values), tuple(map(tuple, self.weight_rows))
+        if not ks or not rows:
+            raise InputError(f"{self.method} grid: k_values and weight_rows "
+                             f"must not be empty, got {ks} and {rows}")
+        cells = tuple(ProjectionConfig(self.method, k, privacy_weights=row)
+                      for k in ks for row in rows)
         if self.method != "RUCA" and rows != ((),):
             raise InputError(f"{self.method} takes no privacy weights; its "
                              f"weight_rows must be ((),), got {rows}")
-        object.__setattr__(self, "k_values", ks)
-        object.__setattr__(self, "weight_rows", rows)
+        # The fields keep the cells' ints and floats.
+        object.__setattr__(self, "k_values",
+                           tuple(cell.k for cell in cells[::len(rows)]))
+        object.__setattr__(self, "weight_rows", tuple(
+            cell.privacy_weights for cell in cells[:len(rows)]))
+        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class ExperimentConfig:
     classifier: ClassifierSpec
     iterations: int
     fraction: float
-    betas: tuple[float, ...]
+    betas: tuple[float, ...] = (1.0,)
     seed: int | None = None
     scored_privacy: str = "first"
     rho: float | None = None
@@ -99,8 +103,8 @@ class ExperimentConfig:
         if not 0.0 < self.fraction <= 1.0:
             raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
         betas = tuple(float(b) for b in self.betas)
-        if any(b < 0 for b in betas):
-            raise InputError(f"betas must be >= 0, got {betas}")
+        if not all(0 <= b < math.inf for b in betas):
+            raise InputError(f"betas must be >= 0 and finite, got {betas}")
         if self.scored_privacy not in SCORED_PRIVACY_MODES:
             raise InputError(f"scored_privacy must be one of "
                              f"{SCORED_PRIVACY_MODES}, got {self.scored_privacy!r}")
@@ -109,11 +113,17 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", betas)
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))
+        # Every grid cell with the ridges, in emission order. Not a field:
+        # == and asdict see only what the cells are built from.
+        object.__setattr__(self, "cells", tuple(
+            replace(cell, rho=self.rho, rho_prime=self.rho_prime)
+            for grid in self.methods for cell in grid.cells))
 
 
 @dataclass(frozen=True)
 class DataBundle:
-    """Train/test datasets with one utility labeling and >= 0 privacy labelings."""
+    """Train/test datasets with one utility labeling and >= 0 privacy
+    labelings, each with one label per sample and the same classes on both."""
 
     train: Dataset
     train_utility: LabelSet
@@ -135,6 +145,19 @@ class DataBundle:
         if len(names) != len(self.train_privacy):
             raise InputError("privacy_names length mismatch")
         object.__setattr__(self, "privacy_names", names)
+        for task, train_l, test_l in zip(
+                ("utility", *names), (self.train_utility, *self.train_privacy),
+                (self.test_utility, *self.test_privacy)):
+            for side, data, labels in (("train", self.train, train_l),
+                                       ("test", self.test, test_l)):
+                if labels.n_samples != data.n_samples:
+                    raise LengthMismatch(
+                        f"{side} {task} labels: {labels.n_samples} labels "
+                        f"for {data.n_samples} samples")
+            if train_l.class_count != test_l.class_count:
+                raise DimensionMismatch(
+                    f"{task} labels: {train_l.class_count} classes in train, "
+                    f"{test_l.class_count} in test")
 
     @property
     def n_privacy(self) -> int:
@@ -167,16 +190,6 @@ def performance(acc_u: float, acc_p: float, beta: float) -> float:
     if beta < 0:
         raise InputError(f"beta must be >= 0, got {beta}")
     return acc_u + beta * (1.0 - acc_p)
-
-
-def _cell_list(cfg: ExperimentConfig, m: int):
-    """Grid cells in emission order, full-dimensional baseline first."""
-    cells = [(FULL_BASELINE, m, ())]
-    for grid in cfg.methods:
-        for k in grid.k_values:
-            for weights in grid.weight_rows:
-                cells.append((grid.method, k, weights))
-    return cells
 
 
 def _score(model, train: Dataset, train_labels, bundle: DataBundle,
@@ -254,7 +267,7 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
     iteration instead of aborting the run; once its failure is known, it
     is not fitted again.
     """
-    cells = _cell_list(cfg, bundle.train.n_features)
+    cells = (None, *cfg.cells)  # None: the full-dimensional baseline
     if threads == 0:
         threads = min(len(cells), os.cpu_count() or 1)
     split_seed = mix(cfg.seed or 0, "subsample")
@@ -273,23 +286,11 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
                     outcomes[c].append(exc)
                 continue
             utility, privacy = sub_labels[0], tuple(sub_labels[1:])
-            models, configs, fitted = {}, [], []
-            for c in live:
-                method, k, weights = cells[c]
-                if method == FULL_BASELINE:
-                    models[c] = None
-                    continue
-                try:
-                    configs.append(ProjectionConfig(
-                        method=method, k=k, rho=cfg.rho,
-                        rho_prime=cfg.rho_prime, privacy_weights=weights,
-                        seed=(mix(mix(cfg.seed or 0, method, k, *weights),
-                                  "fit", it) if method == "RANDOM" else None)))
-                    fitted.append(c)
-                except PrivprojError as exc:
-                    models[c] = exc
-            models.update(zip(fitted, fit_methods(sub_train, utility, privacy,
-                                                  configs)))
+            fitted = [c for c in live if cells[c] is not None]
+            models = dict.fromkeys(live)
+            models.update(zip(fitted, fit_methods(
+                sub_train, utility, privacy,
+                [_salted(cells[c], cfg.seed, it) for c in fitted])))
             for c in live:
                 model = models[c]
                 if isinstance(model, PrivprojError):
@@ -299,34 +300,37 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
                         cfg.classifier)
                 outcomes[c].append(pool.submit(_score, *task) if pool
                                    else _score(*task))
-    return [_point(cell, [o.result() if isinstance(o, Future) else o
-                          for o in out], cfg, bundle.n_privacy)
-            for cell, out in zip(cells, outcomes)]
+    rows = [(FULL_BASELINE, bundle.train.n_features, ()),
+            *((c.method, c.k, c.privacy_weights) for c in cfg.cells)]
+    return [_point(row, [o.result() if isinstance(o, Future) else o
+                         for o in out], cfg, bundle.n_privacy)
+            for row, out in zip(rows, outcomes)]
+
+
+def _salted(cell: ProjectionConfig, seed: int | None,
+            it: int) -> ProjectionConfig:
+    """The cell as iteration it fits it; only RANDOM's seed changes."""
+    if cell.method != "RANDOM":
+        return cell
+    return replace(cell, seed=mix(mix(seed or 0, cell.method, cell.k),
+                                  "fit", it))
 
 
 # --- config JSON -------------------------------------------------------------
 
 def config_from_json(text: str) -> ExperimentConfig:
+    """ExperimentConfig from JSON holding its fields, with MethodGrid fields
+    in each "methods" entry and ClassifierSpec fields in "classifier". A
+    key left out takes its dataclass default; an unknown key is an InputError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"config JSON does not parse: {exc}") from exc
     try:
-        methods = tuple(MethodGrid(
-            method=entry["method"],
-            k_values=tuple(entry["k_values"]),
-            weight_rows=tuple(tuple(row) for row in entry.get("weight_rows",
-                                                              [[]])),
-        ) for entry in doc["methods"])
-        classifier = ClassifierSpec(
-            kind=doc.get("classifier", {}).get("kind", "KNN"),
-            k_neighbors=doc.get("classifier", {}).get("k_neighbors", 5))
-        return ExperimentConfig(
-            methods=methods, classifier=classifier,
-            iterations=doc["iterations"], fraction=doc["fraction"],
-            betas=tuple(doc.get("betas", [1.0])), seed=doc.get("seed"),
-            scored_privacy=doc.get("scored_privacy", "first"),
-            rho=doc.get("rho"), rho_prime=doc.get("rho_prime"))
+        return ExperimentConfig(**{
+            **doc,
+            "methods": tuple(MethodGrid(**entry) for entry in doc["methods"]),
+            "classifier": ClassifierSpec(**doc.get("classifier", {}))})
     except KeyError as exc:
         raise InputError(f"config JSON missing key: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -334,26 +338,11 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
-    doc = {
-        "methods": [
-            {"method": g.method, "k_values": list(g.k_values),
-             "weight_rows": [list(row) for row in g.weight_rows]}
-            for g in cfg.methods],
-        "classifier": {"kind": cfg.classifier.kind,
-                       "k_neighbors": cfg.classifier.k_neighbors},
-        "iterations": cfg.iterations,
-        "fraction": cfg.fraction,
-        "betas": list(cfg.betas),
-        "seed": cfg.seed,
-        "scored_privacy": cfg.scored_privacy,
-        "rho": cfg.rho,
-        "rho_prime": cfg.rho_prime,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(cfg), indent=2) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return config_from_json(fh.read())
 
 
@@ -389,7 +378,7 @@ def _tradeoff_rows(points: list[TradeoffPoint], betas: tuple[float, ...]):
 
 
 def read_tradeoff_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import linalg
 from .data import Dataset, LabelSet
+from .dataio import open_text
 from .errors import (DimensionMismatch, InputError, InvalidK, PrivprojError,
                      RankDeficient, WeightMismatch)
 from .scatter import compute_scatter, total_scatter
@@ -72,7 +73,8 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if int(self.k) != self.k or self.k < 1:
+        if (isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k
+                or self.k < 1):
             raise InvalidK(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
         if self.rho is not None and not 0 < self.rho < math.inf:
@@ -445,16 +447,11 @@ def model_from_json(text: str) -> ProjectionModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"model JSON does not parse: {exc}") from exc
-    required = {"method", "k", "rho", "rho_prime", "privacy_weights", "seed",
-                "feature_mean", "eigenvalues", "w"}
-    missing = required - set(doc)
+    names = [f.name for f in fields(ProjectionConfig)]
+    missing = {*names, "feature_mean", "eigenvalues", "w"} - set(doc)
     if missing:
         raise InputError(f"model JSON missing keys: {sorted(missing)}")
-    cfg = ProjectionConfig(
-        method=doc["method"], k=doc["k"], rho=doc["rho"],
-        rho_prime=doc["rho_prime"],
-        privacy_weights=tuple(doc["privacy_weights"]),
-        seed=doc["seed"])
+    cfg = ProjectionConfig(**{name: doc[name] for name in names})
     w = np.asarray(doc["w"], dtype=np.float64)
     return ProjectionModel(w=w, eigenvalues=np.asarray(doc["eigenvalues"]),
                            config=cfg, feature_mean=np.asarray(doc["feature_mean"]))
@@ -466,5 +463,5 @@ def save_model(model: ProjectionModel, path) -> None:
 
 
 def load_model(path) -> ProjectionModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return model_from_json(fh.read())

@@ -9,7 +9,7 @@ import pytest
 
 import privproj
 from privproj.cli import main
-from privproj.data import Dataset
+from privproj.data import Dataset, LabelSet
 from privproj.dataio import (load_dataset_csv, load_labels_csv,
                              save_dataset_csv, save_labels_csv)
 from privproj.synthetic import tradeoff_bundle
@@ -360,12 +360,58 @@ class TestSweep:
         config = tmp_path / "config.json"
         config.write_text("{broken")
         assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 2
-        # Values json parses but the config cannot convert.
-        for overrides in ({"methods": [{"method": "PCA", "k_values": ["a"]}]},
-                          {"iterations": float("inf")}):
+        # Values json parses but the config cannot convert, bad values in a
+        # grid cell, and unknown keys at each level.
+        for overrides, named in (
+                ({"methods": [{"method": "PCA", "k_values": ["a"]}]}, "'a'"),
+                ({"iterations": float("inf")}, "infinity"),
+                ({"methods": [{"method": "PCA", "k_values": [1.5]}]},
+                 "k must be a positive integer, got 1.5"),
+                ({"methods": [{"method": "PCA", "k_values": [True]}]},
+                 "k must be a positive integer, got True"),
+                ({"rho": -1}, "rho must be positive and finite, got -1"),
+                ({"rho_prime": float("nan")},
+                 "rho_prime must be >= 0 and finite, got nan"),
+                ({"methods": [{"method": "RUCA", "k_values": [1],
+                               "weight_rows": [[-1]]}]},
+                 "privacy_weights must be >= 0 and finite, got (-1.0,)"),
+                ({"betas": [float("nan")]}, "betas must be >= 0 and finite"),
+                ({"betas": [float("inf")]}, "betas must be >= 0 and finite"),
+                ({"scored_privcy": "max"}, "'scored_privcy'"),
+                ({"methods": [{"method": "PCA", "k_values": [1],
+                               "k_valeus": [2]}]}, "'k_valeus'"),
+                ({"classifier": {"kind": "KNN", "k_neigbors": 3}},
+                 "'k_neigbors'")):
             config = write_config(tmp_path / "config.json", **overrides)
+            capsys.readouterr()
             assert main(sweep_args(bundle_files, config,
-                                   tmp_path / "out")) == 2
+                                   tmp_path / "out")) == 2, overrides
+            assert named in capsys.readouterr().err, overrides
+
+    def test_label_file_that_does_not_fit_its_data_exits_2(
+            self, tmp_path, bundle_files, capsys):
+        """A train labeling one label short, or a test labeling with another
+        class count than its train side, is an input error however much of
+        the train set each iteration draws."""
+        config = write_config(tmp_path / "config.json", fraction=0.5)
+        utility = load_labels_csv(bundle_files["train_utility"])
+        short = tmp_path / "short.csv"
+        save_labels_csv(LabelSet(utility.labels[:-1], utility.class_count),
+                        short)
+        privacy = load_labels_csv(bundle_files["test_privacy"])
+        wide = tmp_path / "wide.csv"
+        save_labels_csv(LabelSet(privacy.labels, privacy.class_count + 1),
+                        wide)
+        for key, path, named in (
+                ("train_utility", short, "train utility labels: 79 labels "
+                                         "for 80 samples"),
+                ("test_privacy", wide,
+                 f"train.privacy labels: {privacy.class_count} classes in "
+                 f"train, {privacy.class_count + 1} in test")):
+            args = sweep_args({**bundle_files, key: path}, config,
+                              tmp_path / "out")
+            assert main(args) == 2
+            assert named in capsys.readouterr().err
 
     def test_all_cells_failing_exits_1(self, tmp_path, bundle_files,
                                        capsys):
@@ -418,6 +464,35 @@ class TestPlot:
     def test_plot_missing_csv_exits_2(self, tmp_path, capsys):
         assert main(["plot", "--csv", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "o.svg")]) == 2
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("argv, source", [
+        ("preprocess --input BAD --schema schema --output out", "raw"),
+        ("preprocess --input raw --schema BAD --output out", "schema"),
+        ("evaluate --train-data BAD --train-labels train_utility "
+         "--test-data test_data --test-labels test_utility", "train_data"),
+        ("evaluate --train-data train_data --train-labels train_utility "
+         "--test-data test_data --test-labels BAD", "test_utility"),
+        ("project --model BAD --data train_data --out out", "schema"),
+        ("sweep --config BAD --train-data train_data --train-utility "
+         "train_utility --test-data test_data --test-utility test_utility "
+         "--seed 9 --out-dir out", "schema"),
+        ("plot --csv BAD --out out", "raw"),
+    ])
+    def test_non_utf8_input_exits_2_naming_file(
+            self, tmp_path, bundle_files, toy_schema_path, capsys, argv,
+            source):
+        raw = tmp_path / "raw.csv"
+        write_raw_rows(raw, [("1.0", "a", "yes"), ("2.0", "b", "no")])
+        files = {**bundle_files, "raw": raw, "schema": toy_schema_path,
+                 "out": tmp_path / "out"}
+        bad = tmp_path / f"latin1-{files[source].name}"
+        bad.write_bytes(files[source].read_bytes() + b"2.0,caf\xe9,no\n")
+        files["BAD"] = bad
+        code = main([str(files.get(token, token)) for token in argv.split()])
+        assert code == 2
+        assert f"{bad}: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
 
 
 class TestParser:

@@ -11,7 +11,8 @@ from privproj import linalg
 from privproj.classify import ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
 from privproj.dataio import subsample
-from privproj.errors import InputError, PrivprojError
+from privproj.errors import (DimensionMismatch, InputError, LengthMismatch,
+                             PrivprojError)
 from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
                                  MethodGrid, TradeoffPoint, config_from_json, config_to_json,
                                  emit_tradeoff_curve, performance,
@@ -158,8 +159,9 @@ class TestConfigValidation:
     def test_bad_k_values(self):
         with pytest.raises(InputError):
             MethodGrid("PCA", ())
-        with pytest.raises(InputError):
-            MethodGrid("PCA", (0,))
+        for bad in (0, 1.5, True):
+            with pytest.raises(InputError):
+                MethodGrid("PCA", (1, bad))
 
     def test_empty_weight_rows(self):
         with pytest.raises(InputError):
@@ -179,7 +181,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("overrides", [
         {"methods": ()}, {"iterations": 0}, {"fraction": 0.0},
         {"fraction": 1.5}, {"betas": (-1.0,)},
-        {"scored_privacy": "median"},
+        {"scored_privacy": "median"}, {"betas": (math.nan,)},
+        {"betas": (math.inf,)}, {"rho": -1.0}, {"rho_prime": math.nan},
     ])
     def test_config_invariants(self, overrides):
         with pytest.raises(InputError):
@@ -193,6 +196,25 @@ class TestConfigValidation:
             iterations=4, fraction=0.25, betas=(0.5, 1.0), seed=9,
             scored_privacy="max", rho=1e-3, rho_prime=0.0)
         assert config_from_json(config_to_json(cfg)) == cfg
+
+    def test_config_json_defaults_are_the_dataclass_defaults(self):
+        cfg = config_from_json('{"methods": [{"method": "PCA", "k_values": '
+                               '[1]}], "iterations": 2, "fraction": 0.5}')
+        assert cfg == ExperimentConfig(
+            methods=(MethodGrid("PCA", (1,)),), classifier=ClassifierSpec(),
+            iterations=2, fraction=0.5)
+        assert cfg.betas == (1.0,) and cfg.scored_privacy == "first"
+
+    def test_cells_carry_the_ridges(self):
+        cfg = small_config(methods=(MethodGrid("PCA", (1, 2)),
+                                    MethodGrid("RUCA", (1,), ((1.0,), (2.0,)))),
+                           rho=1e-3, rho_prime=0.0)
+        assert cfg.cells == tuple(
+            ProjectionConfig(method, k, rho=1e-3, rho_prime=0.0,
+                             privacy_weights=weights)
+            for method, k, weights in (("PCA", 1, ()), ("PCA", 2, ()),
+                                       ("RUCA", 1, (1.0,)),
+                                       ("RUCA", 1, (2.0,))))
 
     def test_config_json_missing_key(self):
         with pytest.raises(InputError):
@@ -515,6 +537,35 @@ class TestDataBundle:
                        train_privacy=(), test=a.test,
                        test_utility=a.test_utility,
                        test_privacy=a.test_privacy)
+
+    def test_labeling_length_mismatch_rejected(self):
+        a = small_bundle()
+        parts = dict(train=a.train, train_utility=a.train_utility,
+                     train_privacy=a.train_privacy, test=a.test,
+                     test_utility=a.test_utility, test_privacy=a.test_privacy)
+        n = a.train.n_samples
+        short_u = LabelSet(a.train_utility.labels[:-1],
+                           a.train_utility.class_count)
+        with pytest.raises(LengthMismatch, match=f"train utility labels: "
+                           f"{n - 1} labels for {n} samples"):
+            DataBundle(**{**parts, "train_utility": short_u})
+        long_p = LabelSet(np.tile(a.test_privacy[0].labels, 2),
+                          a.test_privacy[0].class_count)
+        with pytest.raises(LengthMismatch, match=f"test p0 labels: {2 * n} "
+                           f"labels for {n} samples"):
+            DataBundle(**{**parts, "test_privacy": (long_p,)})
+
+    def test_class_count_mismatch_rejected(self):
+        a = small_bundle()
+        parts = dict(train=a.train, train_utility=a.train_utility,
+                     train_privacy=a.train_privacy, test=a.test,
+                     test_utility=a.test_utility, test_privacy=a.test_privacy)
+        c = a.train_privacy[0].class_count
+        wide = LabelSet(a.test_privacy[0].labels, c + 1)
+        with pytest.raises(DimensionMismatch, match=f"sex labels: {c} classes "
+                           f"in train, {c + 1} in test"):
+            DataBundle(**{**parts, "test_privacy": (wide,),
+                          "privacy_names": ("sex",)})
 
     def test_default_privacy_names(self):
         a = small_bundle()

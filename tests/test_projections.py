@@ -24,8 +24,9 @@ class TestConfig:
             ProjectionConfig(method="LDA", k=1)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(InvalidK):
-            ProjectionConfig(method="PCA", k=0)
+        for bad in (0, 1.5, True, np.True_):
+            with pytest.raises(InvalidK, match="k must be a positive integer"):
+                ProjectionConfig(method="PCA", k=bad)
 
     def test_rejects_negative_weight(self):
         for weight in (-1.0, math.nan, math.inf):
