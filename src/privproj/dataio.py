@@ -124,16 +124,26 @@ def schema_from_json(text: str) -> TableSchema:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"schema JSON does not parse: {exc}") from exc
-    if not isinstance(doc, dict) or "columns" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise InputError('schema JSON must be an object with a "columns" list')
     columns = []
     for entry in doc["columns"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and "kind" in entry):
+            raise InputError(f'schema column must be an object with a string '
+                             f'"name" and a "kind", got {entry!r}')
         unknown = set(entry) - {"name", "kind", "categories"}
         if unknown:
             raise InputError(f"schema column has unknown keys: {sorted(unknown)}")
+        categories = entry.get("categories")
+        if categories is not None and not (
+                isinstance(categories, list)
+                and all(isinstance(c, str) for c in categories)):
+            raise InputError(f"column {entry['name']!r}: categories must be a "
+                             f"list of strings, got {categories!r}")
         columns.append(ColumnSchema(
             name=entry["name"], kind=entry["kind"],
-            categories=tuple(entry["categories"]) if "categories" in entry else None))
+            categories=None if categories is None else tuple(categories)))
     return TableSchema(tuple(columns))
 
 

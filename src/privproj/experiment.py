@@ -10,9 +10,10 @@ scores the cells on the worker threads while the next iteration is fitted.
 Determinism contract: an iteration's subsample depends only on (seed,
 iteration), so every cell sees the same draws; only RANDOM fits are salted
 with (method, k, weights). Every fit is bit-identical to fitting its cell
-alone, and one failing cell leaves the other rows unchanged. On the same
-numpy/BLAS build, with any thread count, a sweep reproduces its CSV
-byte-for-byte.
+alone, and one failing cell leaves the other rows unchanged. With any
+number of sweep workers, a sweep reproduces its CSV byte-for-byte on the
+same numpy/BLAS build at the same BLAS thread count; on wide data BLAS
+products can change their last bits with that thread count.
 """
 
 from __future__ import annotations
@@ -98,9 +99,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise InputError("config needs at least one method grid")
-        if int(self.iterations) != self.iterations or self.iterations < 1:
+        if (isinstance(self.iterations, (bool, np.bool_))
+                or int(self.iterations) != self.iterations
+                or self.iterations < 1):
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.fraction <= 1.0:
+        if (isinstance(self.fraction, (bool, np.bool_))
+                or not 0.0 < self.fraction <= 1.0):
             raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
         betas = tuple(float(b) for b in self.betas)
         if not all(0 <= b < math.inf for b in betas):

@@ -14,8 +14,6 @@ Two generators:
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .data import Dataset, LabelSet
@@ -83,24 +81,32 @@ def tradeoff_bundle(seed: int, n_train: int = 2000, n_test: int = 2000,
 
 # --- census-style generator ---------------------------------------------------
 
-#: education name for each education-num value 1..16.
-_EDU_BY_NUM = ("Preschool", "1st-4th", "5th-6th", "7th-8th", "9th", "10th",
-               "11th", "12th", "HS-grad", "Some-college", "Assoc-voc",
-               "Assoc-acdm", "Bachelors", "Masters", "Prof-school",
-               "Doctorate")
+# Names are object arrays of the literal strings, indexed by category code:
+# a column of codes maps to its names in one lookup, sharing the strings.
 
-_WORKCLASS = ("Private", "Self-emp-not-inc", "Self-emp-inc", "Federal-gov",
-              "Local-gov", "State-gov", "Without-pay", "Never-worked")
+def _names(*names) -> np.ndarray:
+    return np.array(names, dtype=object)
+
+
+#: education name for each education-num value 1..16.
+_EDUCATION = _names("Preschool", "1st-4th", "5th-6th", "7th-8th", "9th",
+                    "10th", "11th", "12th", "HS-grad", "Some-college",
+                    "Assoc-voc", "Assoc-acdm", "Bachelors", "Masters",
+                    "Prof-school", "Doctorate")
+
+_WORKCLASS = _names("Private", "Self-emp-not-inc", "Self-emp-inc",
+                    "Federal-gov", "Local-gov", "State-gov", "Without-pay",
+                    "Never-worked")
 _WORKCLASS_P = {
     0: (0.75, 0.08, 0.02, 0.03, 0.06, 0.04, 0.01, 0.01),
     1: (0.66, 0.09, 0.09, 0.05, 0.06, 0.04, 0.005, 0.005),
 }
 
-_OCCUPATION = ("Tech-support", "Craft-repair", "Other-service", "Sales",
-               "Exec-managerial", "Prof-specialty", "Handlers-cleaners",
-               "Machine-op-inspct", "Adm-clerical", "Farming-fishing",
-               "Transport-moving", "Priv-house-serv", "Protective-serv",
-               "Armed-Forces")
+_OCCUPATION = _names("Tech-support", "Craft-repair", "Other-service", "Sales",
+                     "Exec-managerial", "Prof-specialty", "Handlers-cleaners",
+                     "Machine-op-inspct", "Adm-clerical", "Farming-fishing",
+                     "Transport-moving", "Priv-house-serv", "Protective-serv",
+                     "Armed-Forces")
 _OCCUPATION_P = {
     0: (0.03, 0.14, 0.14, 0.10, 0.06, 0.07, 0.06, 0.08, 0.14, 0.04,
         0.07, 0.015, 0.02, 0.005),
@@ -108,26 +114,36 @@ _OCCUPATION_P = {
         0.05, 0.005, 0.04, 0.005),
 }
 
-_RACE = ("White", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other",
-         "Black")
+_RACE = _names("White", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other",
+               "Black")
 _RACE_P = (0.85, 0.03, 0.01, 0.01, 0.10)
 
-_COUNTRIES = ("United-States", "Mexico", "Philippines", "Germany", "Canada",
-              "Puerto-Rico", "India", "England", "Cuba", "China")
+_COUNTRIES = _names("United-States", "Mexico", "Philippines", "Germany",
+                    "Canada", "Puerto-Rico", "India", "England", "Cuba",
+                    "China")
 _COUNTRY_P = (0.90, 0.03, 0.015, 0.01, 0.01, 0.01, 0.01, 0.005, 0.005, 0.005)
 
 #: marital group index: 0 = married, 1 = formerly married, 2 = never married.
 _MARITAL_GROUP_P = {0: (0.34, 0.26, 0.40), 1: (0.78, 0.12, 0.10)}
-_MARRIED_RAW = ("Married-civ-spouse", "Married-AF-spouse",
-                "Married-spouse-absent")
-_MARRIED_RAW_P = (0.92, 0.01, 0.07)
-_FORMER_RAW = ("Divorced", "Separated", "Widowed")
-_FORMER_RAW_P = (0.60, 0.15, 0.25)
+#: marital status by (marital group, code); None pads the shorter rows.
+_MARITAL = _names(
+    ("Married-civ-spouse", "Married-AF-spouse", "Married-spouse-absent"),
+    ("Divorced", "Separated", "Widowed"),
+    ("Never-married", None, None))
+_MARITAL_P = {0: (0.92, 0.01, 0.07), 1: (0.60, 0.15, 0.25), 2: (1.0,)}
+#: relationship by (marital group, code); a married row's code is its male
+#: flag. None pads the shorter row.
+_RELATIONSHIP = _names(
+    ("Wife", "Husband", None, None),
+    ("Not-in-family", "Unmarried", "Other-relative", "Own-child"),
+    ("Own-child", "Not-in-family", "Unmarried", "Other-relative"))
+_RELATIONSHIP_P = {1: (0.45, 0.40, 0.08, 0.07), 2: (0.42, 0.38, 0.12, 0.08)}
 
-_REL_FORMER = ("Not-in-family", "Unmarried", "Other-relative", "Own-child")
-_REL_FORMER_P = (0.45, 0.40, 0.08, 0.07)
-_REL_NEVER = ("Own-child", "Not-in-family", "Unmarried", "Other-relative")
-_REL_NEVER_P = (0.42, 0.38, 0.12, 0.08)
+_SEX = _names("Female", "Male")
+_INCOME = _names("<=50K", ">50K")
+
+#: rows formatted per write; bounds the text held at once.
+_BLOCK_ROWS = 4096
 
 
 def _normalized(probs) -> np.ndarray:
@@ -135,17 +151,23 @@ def _normalized(probs) -> np.ndarray:
     return p / p.sum()
 
 
-def _grouped_choice(rng, groups: np.ndarray, options_by_group: dict) -> list:
-    """One categorical draw per row, with the distribution chosen by that
-    row's group id. Draws happen in fixed group order for determinism."""
-    out = np.empty(groups.shape[0], dtype=object)
-    for gid in sorted(options_by_group):
-        cats, probs = options_by_group[gid]
+def _codes(rng, probs, size: int) -> np.ndarray:
+    """``size`` category codes drawn with weights ``probs``. choice over a
+    sequence of names samples these same codes, so this consumes the
+    generator exactly as drawing the names would."""
+    return rng.choice(len(probs), size=size, p=_normalized(probs))
+
+
+def _grouped_codes(rng, groups: np.ndarray, probs_by_group: dict) -> np.ndarray:
+    """One category code per row, drawn with the weights of that row's
+    group. Groups draw in ascending id order for determinism; rows of a
+    group without weights keep code 0."""
+    codes = np.zeros(groups.shape[0], dtype=np.intp)
+    for gid in sorted(probs_by_group):
         mask = groups == gid
         if mask.any():
-            out[mask] = rng.choice(cats, size=int(mask.sum()),
-                                   p=_normalized(probs))
-    return list(out)
+            codes[mask] = _codes(rng, probs_by_group[gid], int(mask.sum()))
+    return codes
 
 
 def write_adult_like_csv(path, seed: int, n_rows: int,
@@ -167,12 +189,7 @@ def write_adult_like_csv(path, seed: int, n_rows: int,
     n = int(n_rows)
 
     income = (rng.random(n) < 0.45).astype(int)
-    marital_group = np.empty(n, dtype=int)
-    for gid in (0, 1):
-        mask = income == gid
-        if mask.any():
-            marital_group[mask] = rng.choice(
-                3, size=int(mask.sum()), p=_normalized(_MARITAL_GROUP_P[gid]))
+    marital_group = _grouped_codes(rng, income, _MARITAL_GROUP_P)
     male = rng.random(n) < np.where(income == 1, 0.72, 0.46)
 
     age_base = np.array([44.0, 51.0, 27.0])[marital_group]
@@ -192,46 +209,31 @@ def write_adult_like_csv(path, seed: int, n_rows: int,
                           4356).astype(int)
     capital_loss = np.where(loss_hit, loss_amount, 0)
 
-    workclass = _grouped_choice(rng, income, {
-        0: (_WORKCLASS, _WORKCLASS_P[0]), 1: (_WORKCLASS, _WORKCLASS_P[1])})
-    occupation = _grouped_choice(rng, income, {
-        0: (_OCCUPATION, _OCCUPATION_P[0]), 1: (_OCCUPATION, _OCCUPATION_P[1])})
-    race = list(rng.choice(_RACE, size=n, p=_normalized(_RACE_P)))
-    country = list(rng.choice(_COUNTRIES, size=n, p=_normalized(_COUNTRY_P)))
+    workclass = _WORKCLASS[_grouped_codes(rng, income, _WORKCLASS_P)]
+    occupation = _OCCUPATION[_grouped_codes(rng, income, _OCCUPATION_P)]
+    race = _RACE[_codes(rng, _RACE_P, n)]
+    country = _COUNTRIES[_codes(rng, _COUNTRY_P, n)]
 
-    marital = _grouped_choice(rng, marital_group, {
-        0: (_MARRIED_RAW, _MARRIED_RAW_P),
-        1: (_FORMER_RAW, _FORMER_RAW_P),
-        2: (("Never-married",), (1.0,)),
-    })
-    relationship = _grouped_choice(rng, marital_group, {
-        1: (_REL_FORMER, _REL_FORMER_P),
-        2: (_REL_NEVER, _REL_NEVER_P),
-    })
-    for i in np.flatnonzero(marital_group == 0):
-        relationship[i] = "Husband" if male[i] else "Wife"
+    marital = _MARITAL[marital_group,
+                       _grouped_codes(rng, marital_group, _MARITAL_P)]
+    relationship_code = _grouped_codes(rng, marital_group, _RELATIONSHIP_P)
+    married = marital_group == 0
+    relationship_code[married] = male[married]
+    relationship = _RELATIONSHIP[marital_group, relationship_code]
 
-    blank_workclass = rng.random(n) < missing_rate
-    blank_occupation = rng.random(n) < missing_rate
+    workclass[rng.random(n) < missing_rate] = ""
+    occupation[rng.random(n) < missing_rate] = ""
 
+    columns = (age, workclass, fnlwgt, _EDUCATION[edu_num - 1], edu_num,
+               marital, occupation, relationship, race,
+               _SEX[male.astype(np.intp)], capital_gain, capital_loss, hours,
+               country, _INCOME[income])
+    # No field holds a comma, quote or line break, so this is the text a
+    # csv writer would emit: no field needs quoting.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ADULT_COLUMNS)
-        for i in range(n):
-            writer.writerow([
-                age[i],
-                "" if blank_workclass[i] else workclass[i],
-                fnlwgt[i],
-                _EDU_BY_NUM[edu_num[i] - 1],
-                edu_num[i],
-                marital[i],
-                "" if blank_occupation[i] else occupation[i],
-                relationship[i],
-                race[i],
-                "Male" if male[i] else "Female",
-                capital_gain[i],
-                capital_loss[i],
-                hours[i],
-                country[i],
-                "<=50K" if income[i] == 0 else ">50K",
-            ])
+        fh.write(",".join(ADULT_COLUMNS) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = [col[lo:lo + _BLOCK_ROWS].tolist() for col in columns]
+            block = [cells if col.dtype == object else list(map(str, cells))
+                     for col, cells in zip(columns, block)]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")

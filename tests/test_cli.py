@@ -169,6 +169,21 @@ class TestPreprocess:
         assert code == 2
         assert f"{raw}:3: field larger than field limit" in err
 
+    @pytest.mark.parametrize("columns", [
+        [{"name": "height", "kind": "numeric"}, {"kind": "drop"}],
+        5,
+        [{"name": "color", "kind": "categorical", "categories": 5}],
+    ])
+    def test_malformed_schema_column_exits_2(self, tmp_path, columns, capsys):
+        raw, schema = tmp_path / "raw.csv", tmp_path / "schema.json"
+        write_raw_rows(raw, [("1.0", "a", "yes"), ("2.0", "b", "no")])
+        schema.write_text(json.dumps({"columns": columns}))
+        code = main(["preprocess", "--input", str(raw),
+                     "--schema", str(schema),
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_input_file_exits_2(self, tmp_path, toy_schema_path):
         code = main(["preprocess", "--input", str(tmp_path / "absent.csv"),
                      "--schema", str(toy_schema_path),
@@ -377,6 +392,8 @@ class TestSweep:
                  "privacy_weights must be >= 0 and finite, got (-1.0,)"),
                 ({"betas": [float("nan")]}, "betas must be >= 0 and finite"),
                 ({"betas": [float("inf")]}, "betas must be >= 0 and finite"),
+                ({"iterations": True}, "iterations must be >= 1, got True"),
+                ({"fraction": True}, "fraction must be in (0, 1], got True"),
                 ({"scored_privcy": "max"}, "'scored_privcy'"),
                 ({"methods": [{"method": "PCA", "k_values": [1],
                                "k_valeus": [2]}]}, "'k_valeus'"),

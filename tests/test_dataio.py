@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import warnings
 from importlib import resources
 
@@ -64,6 +65,22 @@ class TestSchema:
             {"name": "group", "kind": "label", "categories": ["yes","no"]}
         ]}"""
         assert schema_from_json(text) == TOY_SCHEMA
+
+    @pytest.mark.parametrize("doc", [
+        {"columns": [{"name": "a", "kind": "numeric"}, {"kind": "drop"}]},
+        {"columns": [{"name": "a"}]},
+        {"columns": 5},
+        {"columns": [5]},
+        {"columns": [{"name": 5, "kind": "numeric"}]},
+        {"columns": [{"name": "a", "kind": "categorical", "categories": 5}]},
+        {"columns": [{"name": "a", "kind": "categorical",
+                      "categories": "ab"}]},
+        {"columns": [{"name": "a", "kind": "categorical",
+                      "categories": [["x"], ["y"]]}]},
+    ])
+    def test_malformed_column_is_input_error(self, doc):
+        with pytest.raises(InputError):
+            schema_from_json(json.dumps(doc))
 
 
 class TestLoadCsv:

@@ -183,6 +183,8 @@ class TestConfigValidation:
         {"fraction": 1.5}, {"betas": (-1.0,)},
         {"scored_privacy": "median"}, {"betas": (math.nan,)},
         {"betas": (math.inf,)}, {"rho": -1.0}, {"rho_prime": math.nan},
+        {"iterations": True}, {"iterations": np.True_}, {"fraction": True},
+        {"fraction": np.True_},
     ])
     def test_config_invariants(self, overrides):
         with pytest.raises(InputError):

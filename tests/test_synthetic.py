@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators."""
 
 import csv
+import hashlib
 from importlib import resources
 
 import numpy as np
@@ -103,6 +104,25 @@ class TestAdultLikeCsv:
         write_adult_like_csv(a, seed=77, n_rows=200)
         write_adult_like_csv(b, seed=77, n_rows=200)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed, n_rows, missing_rate, sha256", [
+        (3, 2000, 0.01,
+         "ad45663dbf9f990131784ee95adf2939268a204f898c2976067d9bcd39a87d20"),
+        (1, 1, 0.0,
+         "589fca51dfa8b1817385943c45a7e101effd285e8c98c83667208678517d92ec"),
+        (77, 200, 0.5,
+         "06b9bd1e3fb9584bdf33ee20b25fd1afa8499186cbbc38c93cb64450fd311113"),
+        # More than one write block, the last one partial.
+        (101, 8000, 0.01,
+         "99a121eac4cb9ac6d35238d9053946cc4fcafbc0f5fc35070ec7535b115b4fd4"),
+    ])
+    def test_pinned_bytes(self, tmp_path, seed, n_rows, missing_rate, sha256):
+        """The output bytes are frozen: the census fixtures and the
+        benchmark's recorded digests are built from them."""
+        path = tmp_path / "a.csv"
+        write_adult_like_csv(path, seed=seed, n_rows=n_rows,
+                             missing_rate=missing_rate)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
