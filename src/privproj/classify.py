@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, LabelSet
-from .errors import DimensionMismatch, EmptyTrainClass, InputError, LengthMismatch
+from .errors import (DimensionMismatch, EmptyTrainClass, InputError,
+                     LengthMismatch, is_integer)
 from .scatter import class_means
 
 __all__ = ["ClassifierSpec", "AccuracyReport", "train_eval"]
@@ -77,12 +78,7 @@ class ClassifierSpec:
         if self.kind not in KINDS:
             raise InputError(f"unknown classifier kind {self.kind!r}; expected {KINDS}")
         k = self.k_neighbors
-        try:
-            valid = (not isinstance(k, (bool, np.bool_)) and int(k) == k
-                     and k >= 1 and k % 2 == 1)
-        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
-            valid = False
-        if not valid:
+        if not (is_integer(k) and k >= 1 and k % 2 == 1):
             raise InputError(f"k_neighbors must be a positive odd integer, got {k!r}")
         object.__setattr__(self, "k_neighbors", int(k))
 

@@ -5,6 +5,8 @@ configuration; CLI exit code 2) and ``NumericalError`` (a computation that
 was attempted but failed; CLI exit code 1).
 """
 
+import numpy as np
+
 __all__ = [
     "PrivprojError", "InputError", "NumericalError",
     "NotPositiveDefinite", "NoConvergence", "RankDeficient",
@@ -15,6 +17,15 @@ __all__ = [
 
 class PrivprojError(Exception):
     pass
+
+
+def is_integer(value) -> bool:
+    """Whether value equals an int and is not a bool: ints, numpy integers
+    and integral floats pass; bools, None, NaN, inf and strings do not."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 class InputError(PrivprojError):

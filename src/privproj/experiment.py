@@ -32,7 +32,7 @@ from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
 from .dataio import open_text, subsample
 from .errors import (DimensionMismatch, InputError, LengthMismatch,
-                     PrivprojError)
+                     PrivprojError, is_integer)
 # fit_method is unused here but stays importable: bench/workloads.py wraps
 # experiment.fit_method by name.
 from .projections import (ProjectionConfig, fit_method,  # noqa: F401
@@ -99,9 +99,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise InputError("config needs at least one method grid")
-        if (isinstance(self.iterations, (bool, np.bool_))
-                or int(self.iterations) != self.iterations
-                or self.iterations < 1):
+        if not is_integer(self.iterations) or self.iterations < 1:
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
         if (isinstance(self.fraction, (bool, np.bool_))
                 or not 0.0 < self.fraction <= 1.0):
@@ -116,6 +114,8 @@ class ExperimentConfig:
         object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "betas", betas)
         if self.seed is not None:
+            if not is_integer(self.seed):
+                raise InputError(f"seed must be an integer, got {self.seed!r}")
             object.__setattr__(self, "seed", int(self.seed))
         # Every grid cell with the ridges, in emission order. Not a field:
         # == and asdict see only what the cells are built from.

@@ -22,6 +22,7 @@ config.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -32,13 +33,13 @@ from . import linalg
 from .data import Dataset, LabelSet
 from .dataio import open_text
 from .errors import (DimensionMismatch, InputError, InvalidK, PrivprojError,
-                     RankDeficient, WeightMismatch)
+                     RankDeficient, WeightMismatch, is_integer)
 from .scatter import compute_scatter, total_scatter
 from .seeds import rng_from
 
 __all__ = [
     "METHODS", "ProjectionConfig", "ProjectionModel",
-    "fit_pca", "fit_random", "fit_method", "fit_methods",
+    "fit_random", "fit_method", "fit_methods",
     "project", "subspace_angle", "modified_gram_schmidt",
     "model_to_json", "model_from_json", "save_model", "load_model",
 ]
@@ -73,8 +74,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if (isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k
-                or self.k < 1):
+        if not is_integer(self.k) or self.k < 1:
             raise InvalidK(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
         if self.rho is not None and not 0 < self.rho < math.inf:
@@ -89,6 +89,8 @@ class ProjectionConfig:
         object.__setattr__(self, "privacy_weights",
                            weights if self.method == "RUCA" else ())
         if self.seed is not None:
+            if not is_integer(self.seed):
+                raise InputError(f"seed must be an integer, got {self.seed!r}")
             object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -145,23 +147,6 @@ def _resolve_rho_prime(rho_prime: float | None, s_bu: np.ndarray) -> float:
     return RHO_PRIME_SCALE * float(np.trace(s_bu)) / s_bu.shape[0]
 
 
-def _memo(compute):
-    """compute(key), evaluated once per key. A PrivprojError it raises is
-    kept and raised again for every later lookup of that key."""
-    cache = {}
-
-    def lookup(key):
-        if key not in cache:
-            try:
-                cache[key] = compute(key)
-            except PrivprojError as exc:
-                cache[key] = exc
-        if isinstance(cache[key], PrivprojError):
-            raise cache[key]
-        return cache[key]
-    return lookup
-
-
 def _pencil_key(cfg: ProjectionConfig) -> tuple:
     """What defines a discriminant pencil: its denominator terms (None for
     MDR's first privacy scatter; else the non-zero (task, weight) pairs
@@ -205,23 +190,29 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
     Work the configs share is done once: each labeling's scatter (through
     `compute_scatter`, with its checks), PCA's total scatter, and each
     distinct discriminant pencil (s_bu + rho'·I, denominator + rho·I) with
-    its Cholesky reduction. Every eigenproblem (the reduced pencils and
-    PCA's total scatter) is then solved in one stacked `linalg.sym_eig`
-    call, and each config back-substitutes its own top k. The pencil
-    denominator follows cfg.method: MDR takes the first privacy
+    its Cholesky reduction; a PrivprojError is raised again for each config
+    that needs the failing work. One stacked `linalg.sym_eig` call then
+    solves every eigenproblem, and each config takes its own top k. The
+    pencil denominator follows cfg.method: MDR takes the first privacy
     between-class scatter; DCA and RUCA take s_bar plus w_p·s_bp_p for each
     non-zero weight (only a RUCA config has any), so a zero-weight RUCA fit
     is DCA's fit bit for bit. A failing config does not affect the others,
     and each model is bit-identical to fitting its config alone, with the
-    error a lone fit raises: checks run in the order `fit_method`
-    documents.
+    error a lone fit raises: checks run in the order `fit_method` documents,
+    labels and k before any scatter.
     """
     m = d.n_features
     labelings = (utility, *privacy)
-    scatter = _memo(lambda task: compute_scatter(d, labelings[task]))
-    total = _memo(lambda _: total_scatter(d))
 
-    def build_pencil(key):
+    @functools.cache
+    def scatter(task):
+        return compute_scatter(d, labelings[task])
+
+    total = functools.cache(lambda: total_scatter(d))
+
+    @functools.cache
+    def pencil(key):
+        # Cholesky factor, reduced matrix, resolved ridges, utility mean.
         terms, rho, rho_prime = key
         util = scatter(0)
         if terms is None:
@@ -235,80 +226,56 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
         eye = np.eye(m)
         a = linalg.check_symmetric(
             linalg.symmetrize(util.s_b + rho_prime * eye), "a")
-        b = linalg.symmetrize(denominator + rho * eye)
-        return a, b, rho, rho_prime, util.mean
-
-    pencil = _memo(build_pencil)
-
-    def reduce(key):
-        a, b = pencil(key)[:2]
-        lower = linalg.cholesky(b)
-        return lower, linalg.reduce_pencil(lower, a)
-
-    reduction = _memo(reduce)
-
-    def prepare(cfg):
-        # (eig key, matrix) and a finish(pairs) -> model, or (None, model).
-        if cfg.method == "RANDOM":
-            return None, fit_random(m, cfg)
-        if cfg.method == "PCA":
-            if not 1 <= cfg.k <= m:
-                raise InvalidK(f"k={cfg.k} out of range 1..{m}")
-            mean, s_bar = total(None)
-            return ("PCA", s_bar), lambda pairs: ProjectionModel(
-                w=pairs.vectors[:, :cfg.k], eigenvalues=pairs.values[:cfg.k],
-                config=cfg, feature_mean=mean)
-        if utility is None:
-            raise InputError(f"method {cfg.method} requires utility labels")
-        if cfg.method == "MDR" and not privacy:
-            raise InputError("MDR requires at least one privacy labeling "
-                             "(it uses the first)")
-        if cfg.method == "RUCA" and len(cfg.privacy_weights) != len(privacy):
-            raise WeightMismatch(
-                f"{len(cfg.privacy_weights)} privacy weights for "
-                f"{len(privacy)} privacy labelings")
-        key = _pencil_key(cfg)
-        _, _, rho, rho_prime, mean = pencil(key)
-        if not 1 <= cfg.k <= m:
-            raise InvalidK(f"k={cfg.k} out of range for dim {m}")
-        lower, reduced = reduction(key)
-
-        def finish(pairs):
-            top = linalg.back_substitute(lower, pairs, cfg.k)
-            return ProjectionModel(
-                w=top.vectors, eigenvalues=top.values,
-                config=replace(cfg, rho=rho, rho_prime=rho_prime),
-                feature_mean=mean)
-        return (key, reduced), finish
+        lower = linalg.cholesky(linalg.symmetrize(denominator + rho * eye))
+        return lower, linalg.reduce_pencil(lower, a), rho, rho_prime, util.mean
 
     results: list = [None] * len(configs)
     matrices: dict = {}
-    pending = []
+    jobs = {}  # slot -> (eig key, Cholesky factor or None, resolved cfg, mean)
     for slot, cfg in enumerate(configs):
         try:
-            job, outcome = prepare(cfg)
+            if cfg.method == "RANDOM":
+                results[slot] = fit_random(m, cfg)
+                continue
+            if cfg.method == "PCA":
+                if not 1 <= cfg.k <= m:
+                    raise InvalidK(f"k={cfg.k} out of range 1..{m}")
+                key, lower = "PCA", None
+                mean, matrices[key] = total()
+            else:
+                if utility is None:
+                    raise InputError(
+                        f"method {cfg.method} requires utility labels")
+                if cfg.method == "MDR" and not privacy:
+                    raise InputError("MDR requires at least one privacy "
+                                     "labeling (it uses the first)")
+                if (cfg.method == "RUCA"
+                        and len(cfg.privacy_weights) != len(privacy)):
+                    raise WeightMismatch(
+                        f"{len(cfg.privacy_weights)} privacy weights for "
+                        f"{len(privacy)} privacy labelings")
+                if not 1 <= cfg.k <= m:
+                    raise InvalidK(f"k={cfg.k} out of range for dim {m}")
+                key = _pencil_key(cfg)
+                lower, matrices[key], rho, rho_prime, mean = pencil(key)
+                cfg = replace(cfg, rho=rho, rho_prime=rho_prime)
+            jobs[slot] = key, lower, cfg, mean
         except PrivprojError as exc:
             results[slot] = exc
-            continue
-        if job is None:
-            results[slot] = outcome
-        else:
-            matrices.setdefault(*job)
-            pending.append((slot, job[0], outcome))
     solved = _solve_stacked(matrices) if matrices else {}
-    for slot, key, finish in pending:
+    for slot, (key, lower, cfg, mean) in jobs.items():
         try:
-            if isinstance(solved[key], PrivprojError):
-                raise solved[key]
-            results[slot] = finish(solved[key])
+            pairs = solved[key]
+            if isinstance(pairs, PrivprojError):
+                raise pairs
+            if lower is not None:
+                pairs = linalg.back_substitute(lower, pairs, cfg.k)
+            results[slot] = ProjectionModel(
+                w=pairs.vectors[:, :cfg.k], eigenvalues=pairs.values[:cfg.k],
+                config=cfg, feature_mean=mean)
         except PrivprojError as exc:
             results[slot] = exc
     return results
-
-
-def fit_pca(d: Dataset, cfg: ProjectionConfig) -> ProjectionModel:
-    """Top-k eigenvectors of the total scatter; columns Euclidean-orthonormal."""
-    return fit_method(d, None, (), replace(cfg, method="PCA"))
 
 
 def modified_gram_schmidt(w: np.ndarray, pivot_tol: float = GS_PIVOT_TOL) -> np.ndarray:
@@ -362,7 +329,7 @@ def fit_method(d: Dataset, utility: LabelSet | None,
     PCA and RANDOM ignore the labels. DCA, MDR and RUCA need utility labels;
     MDR needs at least one privacy labeling and uses only the first; RUCA
     needs one privacy weight per privacy labeling. A discriminant fit then
-    computes the scatters, resolves rho and rho', checks k and factors the
+    checks k, computes the scatters, resolves rho and rho' and factors the
     denominator, in that order. This is `fit_methods` with one config.
     """
     model, = fit_methods(d, utility, privacy, (cfg,))
@@ -448,13 +415,15 @@ def model_from_json(text: str) -> ProjectionModel:
     except json.JSONDecodeError as exc:
         raise InputError(f"model JSON does not parse: {exc}") from exc
     names = [f.name for f in fields(ProjectionConfig)]
-    missing = {*names, "feature_mean", "eigenvalues", "w"} - set(doc)
-    if missing:
-        raise InputError(f"model JSON missing keys: {sorted(missing)}")
-    cfg = ProjectionConfig(**{name: doc[name] for name in names})
-    w = np.asarray(doc["w"], dtype=np.float64)
-    return ProjectionModel(w=w, eigenvalues=np.asarray(doc["eigenvalues"]),
-                           config=cfg, feature_mean=np.asarray(doc["feature_mean"]))
+    try:
+        missing = {*names, "feature_mean", "eigenvalues", "w"} - set(doc)
+        if missing:
+            raise InputError(f"model JSON missing keys: {sorted(missing)}")
+        cfg = ProjectionConfig(**{name: doc[name] for name in names})
+        return ProjectionModel(w=doc["w"], eigenvalues=doc["eigenvalues"],
+                               config=cfg, feature_mean=doc["feature_mean"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"model JSON malformed: {exc}") from exc
 
 
 def save_model(model: ProjectionModel, path) -> None:

@@ -261,6 +261,25 @@ class TestFitProjectEvaluate:
                      "--data", str(narrow), "--out",
                      str(tmp_path / "z.csv")]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"k": None}, {"rho": "abc"}, {"privacy_weights": 5}, {"w": "x"},
+        {"seed": "x"}, 5,
+    ], ids=["k-null", "rho-str", "weights-int", "w-str", "seed-str",
+            "not-object"])
+    def test_project_malformed_model_exits_2(self, tmp_path, bundle_files,
+                                             capsys, override):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(bundle_files["train_data"]),
+                     "--utility-labels", str(bundle_files["train_utility"]),
+                     "--method", "PCA", "--k", "2",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        bad = {**doc, **override} if isinstance(override, dict) else override
+        model_path.write_text(json.dumps(bad))
+        assert main(["project", "--model", str(model_path),
+                     "--data", str(bundle_files["train_data"]),
+                     "--out", str(tmp_path / "z.csv")]) == 2
+
     def test_fit_random_without_seed_exits_2(self, tmp_path, bundle_files,
                                              capsys):
         assert main(["fit", "--data", str(bundle_files["train_data"]),
@@ -379,7 +398,8 @@ class TestSweep:
         # grid cell, and unknown keys at each level.
         for overrides, named in (
                 ({"methods": [{"method": "PCA", "k_values": ["a"]}]}, "'a'"),
-                ({"iterations": float("inf")}, "infinity"),
+                ({"iterations": float("inf")},
+                 "iterations must be >= 1, got inf"),
                 ({"methods": [{"method": "PCA", "k_values": [1.5]}]},
                  "k must be a positive integer, got 1.5"),
                 ({"methods": [{"method": "PCA", "k_values": [True]}]},

@@ -159,7 +159,7 @@ class TestConfigValidation:
     def test_bad_k_values(self):
         with pytest.raises(InputError):
             MethodGrid("PCA", ())
-        for bad in (0, 1.5, True):
+        for bad in (0, 1.5, True, None, math.nan, math.inf):
             with pytest.raises(InputError):
                 MethodGrid("PCA", (1, bad))
 
@@ -184,7 +184,8 @@ class TestConfigValidation:
         {"scored_privacy": "median"}, {"betas": (math.nan,)},
         {"betas": (math.inf,)}, {"rho": -1.0}, {"rho_prime": math.nan},
         {"iterations": True}, {"iterations": np.True_}, {"fraction": True},
-        {"fraction": np.True_},
+        {"fraction": np.True_}, {"iterations": None},
+        {"iterations": math.nan}, {"iterations": math.inf}, {"seed": 1.5},
     ])
     def test_config_invariants(self, overrides):
         with pytest.raises(InputError):

@@ -10,7 +10,7 @@ from privproj.data import Dataset, LabelSet
 from privproj.errors import (DimensionMismatch, InputError, InvalidK,
                              NoConvergence, RankDeficient, WeightMismatch)
 from privproj.projections import (ProjectionConfig, ProjectionModel,
-                                  fit_method, fit_methods, fit_pca, fit_random,
+                                  fit_method, fit_methods, fit_random,
                                   load_model,
                                   model_from_json, model_to_json,
                                   modified_gram_schmidt, project, save_model,
@@ -24,9 +24,13 @@ class TestConfig:
             ProjectionConfig(method="LDA", k=1)
 
     def test_rejects_bad_k(self):
-        for bad in (0, 1.5, True, np.True_):
+        for bad in (0, 1.5, True, np.True_, None, math.nan, math.inf):
             with pytest.raises(InvalidK, match="k must be a positive integer"):
                 ProjectionConfig(method="PCA", k=bad)
+
+    def test_rejects_fractional_seed(self):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            ProjectionConfig(method="RANDOM", k=1, seed=1.5)
 
     def test_rejects_negative_weight(self):
         for weight in (-1.0, math.nan, math.inf):
@@ -223,13 +227,14 @@ class TestPca:
         rng = np.random.default_rng(9)
         direction = np.array([3.0, 4.0]) / 5.0
         x = np.outer(direction, rng.standard_normal(100) * 5)
-        model = fit_pca(Dataset(x), ProjectionConfig(method="PCA", k=2))
+        model = fit_method(Dataset(x), None, (),
+                           ProjectionConfig(method="PCA", k=2))
         assert model.eigenvalues[0] / max(model.eigenvalues[1], 1e-300) > 1e6
 
     def test_full_rank_is_lossless(self):
         rng = np.random.default_rng(10)
         d = Dataset(rng.standard_normal((5, 60)))
-        model = fit_pca(d, ProjectionConfig(method="PCA", k=5))
+        model = fit_method(d, None, (), ProjectionConfig(method="PCA", k=5))
         assert linalg.max_norm(model.w.T @ model.w - np.eye(5)) < 1e-12
         z = project(model, d)
         recon = model.w @ z.x + model.feature_mean[:, None]
@@ -238,7 +243,7 @@ class TestPca:
     def test_eigenvalues_match_total_scatter(self):
         rng = np.random.default_rng(11)
         d = Dataset(rng.standard_normal((4, 50)))
-        model = fit_pca(d, ProjectionConfig(method="PCA", k=4))
+        model = fit_method(d, None, (), ProjectionConfig(method="PCA", k=4))
         centered = d.x - d.x.mean(axis=1, keepdims=True)
         expected = np.sort(np.linalg.eigvalsh(centered @ centered.T))[::-1]
         np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-10, atol=1e-8)
@@ -396,6 +401,13 @@ class TestDispatch:
         d, _, _ = separated_instance(19)
         with pytest.raises(InputError):
             fit_method(d, None, [], ProjectionConfig(method="DCA", k=1))
+
+    def test_k_checked_before_scatter(self):
+        d, util, _ = separated_instance(19)
+        empty_class = LabelSet(util.labels, util.class_count + 1)
+        with pytest.raises(InvalidK):
+            fit_method(d, empty_class, [],
+                       ProjectionConfig(method="DCA", k=d.n_features + 1))
 
 
 class TestFitMethods:
