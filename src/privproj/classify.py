@@ -20,21 +20,20 @@ Neighbour search returns exactly the set the first k entries of a stable
 ascending sort of the whole distance block hold: every training sample
 strictly closer than the k-th smallest distance, then samples at exactly
 that distance, lowest training index first. Distances are the explicit
-(train - test)^2 sums over features of `_sq_distances`, and one size rule
-picks how that set is found:
+(train - test)^2 sums over features of `_sq_distances`. Each search only
+collects candidates, a superset of that set, and `_first_k` keeps the first
+k by (distance, training index). One size rule picks the search:
 
   dense   fewer than FAST_MIN_TRAIN training samples (so nearest-centroid
-          always): the whole (n_train, n_chunk) block, selected with
-          `np.partition` at the k-th distance, or `argmin` when k=1.
-  window  1-D data: training values sorted once by (value, index); each
-          test point's k nearest lie among the 2k sorted values around its
-          `searchsorted` position. A column whose k-th-distance ties reach
-          the window's edge takes the dense block.
+          always): the whole (n_train, n_chunk) block; the entries at or
+          below the k-th distance (`np.partition`), or `argmin` when k=1.
+  window  1-D data: training values sorted once; the 2k sorted values
+          around a test point's `searchsorted` position give its k-th
+          distance E, and every value within a proven radius of sqrt(E).
   Gram    wider data: one BLAS product per chunk of |a|^2 - 2a.b + |b|^2,
           on data centred on the training mean, with a proven bound on its
-          distance from the explicit sums. Only the candidates the bound
-          cannot exclude get their explicit sums, and the selection runs on
-          those.
+          distance from the explicit sums: every pair the bound cannot
+          exclude.
 
 BLAS only chooses candidates and never decides a distance or a tie, so
 neighbour sets are the same on any BLAS build and at any thread count. Test
@@ -63,9 +62,10 @@ KINDS = ("KNN", "NEAREST_CENTROID")
 DISTANCE_BLOCK = 1 << 18
 #: Training sets at least this large take a fast path (1-D: the sorted
 #: window; wider: the Gram filter); smaller ones the dense block. Measured
-#: crossovers (2 vCPUs, 2030 test points, k=5): window about 48, Gram from
-#: about 32 (m=29) to 110 (m=2). Nearest-centroid (one point per class)
-#: stays dense.
+#: crossovers (2 vCPUs, 2030 test points): the window wins from about 32
+#: (k=5) and 40 (k=1); the Gram filter from below 8 (m=29, k=5), 16 (m=2,
+#: k=5) and 24 (m=29, k=1), while at m=2, k=1 the dense `argmin` stays
+#: faster up to 720. Nearest-centroid (one point per class) stays dense.
 FAST_MIN_TRAIN = 64
 
 
@@ -112,27 +112,36 @@ def _sq_distances(train: np.ndarray, test_chunk: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select(dist: np.ndarray, k: int) -> np.ndarray:
-    """(k, n_chunk) row indices of the k smallest entries of each column,
-    ascending: every entry below the column's k-th smallest value, then
-    entries equal to it, lowest row first."""
-    if k == 1:
-        return dist.argmin(axis=0)[None]  # the first of equal minima
-    kth = np.partition(dist, k - 1, axis=0)[k - 1]
-    keep = dist <= kth
-    # More than k entries at or below the k-th value: ties straddle it, and
-    # only these columns need the lowest-index fill.
-    tied_cols = np.flatnonzero(np.count_nonzero(keep, axis=0) > k)
-    if tied_cols.size:
-        sub, sub_kth = dist[:, tied_cols], kth[tied_cols]
-        tied = sub == sub_kth
-        places = k - np.count_nonzero(sub < sub_kth, axis=0)
-        keep[:, tied_cols] &= ~tied | (np.cumsum(tied, axis=0) <= places)
-    return np.nonzero(keep.T)[1].reshape(-1, k).T
+def _first_k(x_train: np.ndarray, chunk: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray, k: int) -> np.ndarray:
+    """(k, n_chunk) training indices, ascending: of the candidate pairs
+    (rows[i], cols[i]), grouped by column in any row order, the first k of
+    each column by (distance, training index). Distances are summed in
+    `_sq_distances`' order, so they are the same bits. The key (column,
+    distance rank, row) is unique, below 2^36 while n_train <= 2^18 (a chunk
+    holds at most DISTANCE_BLOCK pairs) and below n_train^2 beyond that."""
+    dist = np.zeros(rows.size)
+    for row in range(x_train.shape[0]):
+        dist += (x_train[row, rows] - chunk[row, cols]) ** 2
+    _, rank = np.unique(dist, return_inverse=True)
+    # Any sort gives the same order on a unique key; the stable merge sort
+    # is faster on the column runs the candidates arrive in.
+    by_col = np.argsort((cols * rank.size + rank) * x_train.shape[1] + rows,
+                        kind="stable")
+    counts = np.bincount(cols, minlength=chunk.shape[1])
+    first = np.cumsum(counts) - counts
+    return np.sort(rows[by_col[first + np.arange(k)[:, None]]], axis=0)
 
 
 def _dense(x_train: np.ndarray, test_chunk: np.ndarray, k: int) -> np.ndarray:
-    return _select(_sq_distances(x_train, test_chunk), k)
+    """The whole distance block; its candidates are the entries at or below
+    each column's k-th smallest."""
+    dist = _sq_distances(x_train, test_chunk)
+    if k == 1:  # argmin returns the first of equal minima
+        return dist.argmin(axis=0)[None]
+    kth = np.partition(dist, k - 1, axis=0)[k - 1]
+    cols, rows = np.nonzero((dist <= kth).T)
+    return _first_k(x_train, test_chunk, rows, cols, k)
 
 
 def _chunked(x_test: np.ndarray, k: int, n_train: int,
@@ -155,38 +164,36 @@ def _dense_neighbors(x_train: np.ndarray, x_test: np.ndarray,
 
 def _window_neighbors(x_train: np.ndarray, x_test: np.ndarray,
                       k: int) -> np.ndarray:
-    """`_dense_neighbors` for 1-D data, from a window of sorted values.
+    """`_dense_neighbors` for 1-D data, from the sorted training values.
 
-    Rounding is monotone, so along the sorted training values the computed
-    distances fall up to a test point's insertion position and rise after
-    it: the k nearest lie among the 2k sorted values around it. Within that
-    window, ordered by training index, `_select` keeps the same set as on
-    the whole block unless the points at the k-th distance reach a window
-    edge that is not an end of the data; points past it may tie too, so
-    such columns take the dense block.
+    Rounding is monotone, so along the sorted values the computed distances
+    fall up to a test point t's `searchsorted` position and rise after it:
+    the 2k values around it hold the k smallest, the k-th of them the k-th
+    distance E. The candidates are all values in [fl(t - r), fl(t + r)] for
+    r = sqrt(E) (1 + 8 eps) + 1e-161. No v at a distance e <= E lies outside:
+    with u the unit roundoff and eta the smallest subnormal,
+    |fl(v - t)| >= (1 - u) |v - t| and fl(x^2) >= (1 - u) x^2 - eta, so
+    |v - t| <= (sqrt(E) + sqrt(eta)) (1 + 2u) <= r, and monotone rounding
+    turns v <= t + r into v <= fl(t + r), and likewise below.
     """
     values = x_train[0]
     n = values.size
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ordered = values[order]
     width = min(2 * k, n)
+    grow = 1 + 8 * np.finfo(np.float64).eps
 
     def select(chunk: np.ndarray) -> np.ndarray:
         t = chunk[0]
         first = np.clip(np.searchsorted(ordered, t) - k, 0, n - width)
-        last = first + width - 1
-        pos = first + np.arange(width)[:, None]
-        pos = np.take_along_axis(pos, np.argsort(order[pos], axis=0), axis=0)
-        dist = (ordered[pos] - t) ** 2
-        picked = _select(dist, k)
-        kth = np.take_along_axis(dist, picked, axis=0).max(axis=0)
-        open_edge = (((first > 0) & ((ordered[first] - t) ** 2 == kth))
-                     | ((last < n - 1) & ((ordered[last] - t) ** 2 == kth)))
-        neighbors = order[np.take_along_axis(pos, picked, axis=0)]
-        cols = np.flatnonzero(open_edge)
-        if cols.size:
-            neighbors[:, cols] = _dense(x_train, chunk[:, cols], k)
-        return neighbors
+        window = (ordered[first + np.arange(width)[:, None]] - t) ** 2
+        r = np.sqrt(np.partition(window, k - 1, axis=0)[k - 1]) * grow + 1e-161
+        lo = np.searchsorted(ordered, t - r)
+        counts = np.searchsorted(ordered, t + r, side="right") - lo
+        cols = np.repeat(np.arange(t.size), counts)
+        pos = np.arange(cols.size) + np.repeat(lo - np.cumsum(counts) + counts,
+                                               counts)
+        return _first_k(x_train, chunk, order[pos], cols, k)
 
     return _chunked(x_test, k, n, select)
 
@@ -208,10 +215,8 @@ def _gram_neighbors(x_train: np.ndarray, x_test: np.ndarray,
     The slack is 4 gamma (|a'| + |b'|)^2, which also covers the norms and
     the threshold being rounded, plus a floor for gradual underflow. If e
     is at most the column's k-th e, then g <= (k-th smallest g) + 2 slack,
-    so every such pair is a candidate. Candidates get e recomputed feature
-    by feature in `_sq_distances`' order, bit for bit, and the first k by
-    (e, training index) are the neighbours. BLAS only chooses candidates,
-    so the result does not depend on it.
+    so every such pair is a candidate for `_first_k`. BLAS only chooses
+    candidates, so the result does not depend on it.
     """
     m, n = x_train.shape
     mean = x_train.mean(axis=1, keepdims=True)
@@ -235,16 +240,7 @@ def _gram_neighbors(x_train: np.ndarray, x_test: np.ndarray,
         limit = (np.partition(h, k - 1, axis=1)[:, k - 1]
                  + 4 * gamma * reach + floor)
         cols, rows = np.nonzero(h <= limit[:, None])
-        dist = np.zeros(rows.size)
-        for row in range(m):
-            dist += (x_train[row, rows] - chunk[row, cols]) ** 2
-        # Rows ascend within each column, and the stable sort by (column,
-        # distance rank) keeps that order among equal distances.
-        _, rank = np.unique(dist, return_inverse=True)
-        by_col = np.argsort(cols * rank.size + rank, kind="stable")
-        counts = np.bincount(cols, minlength=chunk.shape[1])
-        first = np.cumsum(counts) - counts
-        return np.sort(rows[by_col[first + np.arange(k)[:, None]]], axis=0)
+        return _first_k(x_train, chunk, rows, cols, k)
 
     return _chunked(x_test, k, n, select)
 

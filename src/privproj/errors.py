@@ -5,6 +5,8 @@ configuration; CLI exit code 2) and ``NumericalError`` (a computation that
 was attempted but failed; CLI exit code 1).
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -26,6 +28,28 @@ def is_integer(value) -> bool:
         return not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool: ints, floats and
+    numpy numbers pass, NaN and inf too; bools, None and strings do not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_tuple(values, name: str) -> tuple:
+    """values as a tuple. A string, which would split into characters, or a
+    value that is not iterable is an InputError."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise InputError(f"{name} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
+def as_floats(values, name: str) -> tuple[float, ...]:
+    """`as_tuple` of real numbers (see `is_real`), as floats."""
+    values = as_tuple(values, name)
+    if not all(map(is_real, values)):
+        raise InputError(f"{name} must hold numbers, got {values!r}")
+    return tuple(map(float, values))
 
 
 class InputError(PrivprojError):

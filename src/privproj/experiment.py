@@ -32,7 +32,7 @@ from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
 from .dataio import open_text, subsample
 from .errors import (DimensionMismatch, InputError, LengthMismatch,
-                     PrivprojError, is_integer)
+                     PrivprojError, as_floats, as_tuple, is_integer, is_real)
 # fit_method is unused here but stays importable: bench/workloads.py wraps
 # experiment.fit_method by name.
 from .projections import (ProjectionConfig, fit_method,  # noqa: F401
@@ -67,7 +67,9 @@ class MethodGrid:
     weight_rows: tuple[tuple[float, ...], ...] = ((),)
 
     def __post_init__(self):
-        ks, rows = tuple(self.k_values), tuple(map(tuple, self.weight_rows))
+        ks = as_tuple(self.k_values, "k_values")
+        rows = tuple(as_tuple(row, "weight row")
+                     for row in as_tuple(self.weight_rows, "weight_rows"))
         if not ks or not rows:
             raise InputError(f"{self.method} grid: k_values and weight_rows "
                              f"must not be empty, got {ks} and {rows}")
@@ -97,20 +99,24 @@ class ExperimentConfig:
     rho_prime: float | None = None
 
     def __post_init__(self):
-        if not self.methods:
-            raise InputError("config needs at least one method grid")
+        methods = as_tuple(self.methods, "methods")
+        if not methods or not all(isinstance(g, MethodGrid) for g in methods):
+            raise InputError(f"config needs one or more method grids, got "
+                             f"{self.methods!r}")
+        if not isinstance(self.classifier, ClassifierSpec):
+            raise InputError(f"classifier must be a ClassifierSpec, got "
+                             f"{self.classifier!r}")
         if not is_integer(self.iterations) or self.iterations < 1:
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
-        if (isinstance(self.fraction, (bool, np.bool_))
-                or not 0.0 < self.fraction <= 1.0):
+        if not (is_real(self.fraction) and 0.0 < self.fraction <= 1.0):
             raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
-        betas = tuple(float(b) for b in self.betas)
+        betas = as_floats(self.betas, "betas")
         if not all(0 <= b < math.inf for b in betas):
             raise InputError(f"betas must be >= 0 and finite, got {betas}")
         if self.scored_privacy not in SCORED_PRIVACY_MODES:
             raise InputError(f"scored_privacy must be one of "
                              f"{SCORED_PRIVACY_MODES}, got {self.scored_privacy!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "betas", betas)
         if self.seed is not None:

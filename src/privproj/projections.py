@@ -33,7 +33,8 @@ from . import linalg
 from .data import Dataset, LabelSet
 from .dataio import open_text
 from .errors import (DimensionMismatch, InputError, InvalidK, PrivprojError,
-                     RankDeficient, WeightMismatch, is_integer)
+                     RankDeficient, WeightMismatch, as_floats, is_integer,
+                     is_real)
 from .scatter import compute_scatter, total_scatter
 from .seeds import rng_from
 
@@ -77,12 +78,14 @@ class ProjectionConfig:
         if not is_integer(self.k) or self.k < 1:
             raise InvalidK(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
-        if self.rho is not None and not 0 < self.rho < math.inf:
-            raise InputError(f"rho must be positive and finite, got {self.rho!r}")
-        if self.rho_prime is not None and not 0 <= self.rho_prime < math.inf:
+        rho, rho_prime = self.rho, self.rho_prime
+        if rho is not None and not (is_real(rho) and 0 < rho < math.inf):
+            raise InputError(f"rho must be positive and finite, got {rho!r}")
+        if rho_prime is not None and not (is_real(rho_prime)
+                                          and 0 <= rho_prime < math.inf):
             raise InputError(
-                f"rho_prime must be >= 0 and finite, got {self.rho_prime!r}")
-        weights = tuple(float(w) for w in self.privacy_weights)
+                f"rho_prime must be >= 0 and finite, got {rho_prime!r}")
+        weights = as_floats(self.privacy_weights, "privacy_weights")
         if not all(0 <= w < math.inf for w in weights):
             raise InputError(
                 f"privacy_weights must be >= 0 and finite, got {weights}")

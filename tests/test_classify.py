@@ -234,21 +234,44 @@ class TestNeighborSelection:
 
     def test_window_reaches_ties_past_its_edge(self):
         # Guards the 1-D inputs above: duplicate 1-D bits tie far beyond the
-        # 2k-value window, so the window must hand columns to the dense block.
-        handed = []
-        dense = classify._dense
+        # 2k values around each test point, so the window must hand on more
+        # candidates than those.
+        widest = []
+        first_k = classify._first_k
 
-        def spy(x_train, chunk, k):
-            handed.append(chunk.shape[1])
-            return dense(x_train, chunk, k)
+        def spy(x_train, chunk, rows, cols, k):
+            widest.append(np.bincount(cols).max())
+            return first_k(x_train, chunk, rows, cols, k)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classify, "_dense", spy)
+            mp.setattr(classify, "_first_k", spy)
             for seed in range(5):
                 train, _, test, _ = bits_problem(seed, m=1)
                 got = classify._window_neighbors(train.x, test.x, 5)
                 assert np.array_equal(got, argsort_neighbors(train.x, test.x, 5))
-        assert sum(handed) > 0
+        assert max(widest) > 2 * 5
+
+    def test_window_takes_the_lowest_indices_of_a_tied_run(self):
+        # Ten training values, -1 at indices 0-4 and +1 at 5-9. The test
+        # point 0 sorts between the runs, so the 2k = 6 values around it are
+        # indices 2-7, while the first three by (distance, index) are 0-2.
+        # At 0.5 the +1 run is nearer, and its lowest indices are 5-7.
+        train = np.repeat([-1.0, 1.0], 5)[None]
+        test = np.array([[0.0, 0.5]])
+        assert np.array_equal(classify._window_neighbors(train, test, 3),
+                              [[0, 5], [1, 6], [2, 7]])
+        assert np.array_equal(classify._window_neighbors(train, test, 1),
+                              [[0, 5]])
+
+    def test_window_radius_covers_a_difference_rounded_down(self):
+        # fl(1e-17 - (-1)) = 1 and fl(-2 - (-1)) = -1: both training values
+        # lie at distance 1 from -1, and index 0 wins the tie, although
+        # 1e-17 lies past -1 + sqrt(1) = 0. The radius's factor 1 + 8 eps
+        # reaches it.
+        train = np.array([[1e-17, -2.0]])
+        test = np.array([[-1.0]])
+        assert np.array_equal(classify._window_neighbors(train, test, 1), [[0]])
+        assert np.array_equal(argsort_neighbors(train, test, 1), [[0]])
 
     @pytest.mark.parametrize("search, m", FAST_PATHS)
     @pytest.mark.parametrize("shift, scale", [(1e8, 1.0), (0.0, 1e-160),
@@ -432,9 +455,8 @@ class TestNearestCentroid:
                                  [0.0, 1.0, 0.0, 0.5, 0.0, 0.0]]))
         want = np.array([0, 1, 2, 3, 0, 4])
         means = classify.class_means(train, tl)
-        dist = classify._sq_distances(means, test.x)
-        assert np.array_equal(classify._select(dist, 1), want[None])
-        assert np.array_equal(classify._select(dist, 1),
+        assert np.array_equal(classify._dense(means, test.x, 1), want[None])
+        assert np.array_equal(classify._dense(means, test.x, 1),
                               argsort_neighbors(means, test.x, 1))
         assert np.array_equal(
             centroid_brute_force(train.x, tl.labels, 5, test.x), want)

@@ -414,6 +414,19 @@ class TestSweep:
                 ({"betas": [float("inf")]}, "betas must be >= 0 and finite"),
                 ({"iterations": True}, "iterations must be >= 1, got True"),
                 ({"fraction": True}, "fraction must be in (0, 1], got True"),
+                ({"fraction": None}, "fraction must be in (0, 1], got None"),
+                ({"betas": "12"}, "betas must be a sequence, got '12'"),
+                ({"betas": None}, "betas must be a sequence, got None"),
+                ({"rho": "x"}, "rho must be positive and finite, got 'x'"),
+                ({"methods": [{"method": "RUCA", "k_values": [1],
+                               "weight_rows": ["40"]}]},
+                 "weight row must be a sequence, got '40'"),
+                ({"methods": [{"method": "RUCA", "k_values": [1],
+                               "weight_rows": "40"}]},
+                 "weight_rows must be a sequence, got '40'"),
+                ({"methods": [{"method": "RUCA", "k_values": [1],
+                               "weight_rows": [[None]]}]},
+                 "privacy_weights must hold numbers, got (None,)"),
                 ({"scored_privcy": "max"}, "'scored_privcy'"),
                 ({"methods": [{"method": "PCA", "k_values": [1],
                                "k_valeus": [2]}]}, "'k_valeus'"),

@@ -167,6 +167,14 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             MethodGrid("RUCA", (1,), ())
 
+    def test_sequences_must_not_be_strings(self):
+        # A string would split into characters: "40" into weights (4, 0).
+        for k_values, weight_rows in (("1", ((1.0,),)), ((1,), "40"),
+                                      ((1,), ("40",)), ((1,), None),
+                                      ((1,), (None,))):
+            with pytest.raises(InputError, match="must be a sequence"):
+                MethodGrid("RUCA", k_values, weight_rows)
+
     def test_weight_rows_only_for_ruca(self):
         # A row would refit the same projection (RANDOM: with a new salt)
         # under a weight label that had no effect.
@@ -186,6 +194,9 @@ class TestConfigValidation:
         {"iterations": True}, {"iterations": np.True_}, {"fraction": True},
         {"fraction": np.True_}, {"iterations": None},
         {"iterations": math.nan}, {"iterations": math.inf}, {"seed": 1.5},
+        {"fraction": None}, {"fraction": "0.5"}, {"betas": None},
+        {"betas": "12"}, {"betas": ("1",)}, {"rho": "x"}, {"rho_prime": "x"},
+        {"classifier": None}, {"methods": "DCA"}, {"methods": ("DCA",)},
     ])
     def test_config_invariants(self, overrides):
         with pytest.raises(InputError):

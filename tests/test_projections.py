@@ -37,6 +37,11 @@ class TestConfig:
             with pytest.raises(InputError):
                 ProjectionConfig(method="RUCA", k=1, privacy_weights=(weight,))
 
+    def test_rejects_weights_that_are_not_numbers(self):
+        for weights in (None, "40", ("4",), (True,)):
+            with pytest.raises(InputError, match="privacy_weights must"):
+                ProjectionConfig(method="RUCA", k=1, privacy_weights=weights)
+
     def test_rejects_zero_rho(self):
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(InputError):
