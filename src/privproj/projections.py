@@ -227,9 +227,9 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
         rho = _resolve_rho(rho, util.s_bar)
         rho_prime = _resolve_rho_prime(rho_prime, util.s_b)
         eye = np.eye(m)
-        a = linalg.check_symmetric(
-            linalg.symmetrize(util.s_b + rho_prime * eye), "a")
-        lower = linalg.cholesky(linalg.symmetrize(denominator + rho * eye))
+        # Exactly symmetric sums; check_symmetric rejects an overflowed ridge.
+        a = linalg.check_symmetric(util.s_b + rho_prime * eye, "a")
+        lower = linalg.cholesky(denominator + rho * eye)
         return lower, linalg.reduce_pencil(lower, a), rho, rho_prime, util.mean
 
     results: list = [None] * len(configs)
@@ -281,7 +281,7 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
     return results
 
 
-def modified_gram_schmidt(w: np.ndarray, pivot_tol: float = GS_PIVOT_TOL) -> np.ndarray:
+def modified_gram_schmidt(w: np.ndarray) -> np.ndarray:
     """Column orthonormalization with a second reorthogonalization pass."""
     q = np.array(w, dtype=np.float64)
     if q.ndim != 2:
@@ -291,9 +291,9 @@ def modified_gram_schmidt(w: np.ndarray, pivot_tol: float = GS_PIVOT_TOL) -> np.
             for i in range(j):
                 q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
         norm = float(np.linalg.norm(q[:, j]))
-        if norm < pivot_tol:
+        if norm < GS_PIVOT_TOL:
             raise RankDeficient(f"column {j} collapsed during orthonormalization "
-                                f"(norm {norm:g} < {pivot_tol:g})")
+                                f"(norm {norm:g} < {GS_PIVOT_TOL:g})")
         q[:, j] /= norm
     return q
 

@@ -8,7 +8,13 @@ scale-sensitive, so this convention is load-bearing, not cosmetic:
     s_b   = sum_c n_c (mean_c - mean)(mean_c - mean)^T (between-class)
     s_w   = sum_c sum_{i in c} (x_i - mean_c)(x_i - mean_c)^T (within-class)
 
-with the additive identity s_bar == s_b + s_w.
+Each is a Gram product made exactly symmetric by `symmetrize`, so shape,
+symmetry and positive semi-definiteness hold by construction, and
+`tests/test_scatter.py` pins them. The identity s_bar == s_b + s_w holds
+only up to the rounding of the class means, which a large common offset
+(a column near 1e12 with unit spread) makes coarse. So `ScatterSet`
+checks the identity to `ADDITIVITY_RTOL`, and rejects entries that
+overflowed (finite data near 1e200).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset, LabelSet
-from .errors import InputError, LengthMismatch, NotPositiveDefinite
+from .errors import InputError, LengthMismatch
 
 __all__ = ["ScatterSet", "compute_scatter", "rank_bound_check"]
 
@@ -28,23 +34,6 @@ ADDITIVITY_RTOL = 1e-9
 
 #: Relative eigenvalue floor used when counting the numerical rank of s_b.
 RANK_RTOL = 1e-12
-
-
-def _check_psd(name: str, s: np.ndarray) -> None:
-    """Reject matrices with an eigenvalue below -1e-9 * max-norm.
-
-    Cheap sufficient test: s + shift*I admits a Cholesky factorization iff
-    its smallest eigenvalue clears the pivot floor, so success bounds
-    lambda_min(s) >= -shift.
-    """
-    norm = linalg.max_norm(s)
-    if norm == 0.0:
-        return
-    shift = 1e-9 * norm
-    try:
-        linalg.cholesky(s + shift * np.eye(s.shape[0]))
-    except NotPositiveDefinite as exc:
-        raise InputError(f"{name} is not positive semi-definite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -57,21 +46,13 @@ class ScatterSet:
     mean: np.ndarray
 
     def __post_init__(self):
-        m = self.mean.shape[0]
         for name in ("s_bar", "s_b", "s_w"):
-            s = getattr(self, name)
-            if s.shape != (m, m):
-                raise InputError(f"{name} must have shape ({m}, {m}), got {s.shape}")
-            if not np.array_equal(s, s.T):
-                raise InputError(f"{name} is not exactly symmetric")
-            if not np.all(np.isfinite(s)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise InputError(f"{name} contains non-finite entries")
         residual = linalg.max_norm(self.s_bar - (self.s_b + self.s_w))
         if residual > ADDITIVITY_RTOL * linalg.max_norm(self.s_bar):
             raise InputError(
                 f"scatter additivity violated: |s_bar - (s_b + s_w)| = {residual:g}")
-        for name in ("s_bar", "s_b", "s_w"):
-            _check_psd(name, getattr(self, name))
 
 
 def total_scatter(d: Dataset) -> tuple[np.ndarray, np.ndarray]:

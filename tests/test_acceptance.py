@@ -1,9 +1,9 @@
-"""Acceptance gate: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: end-to-end criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; each test prints exactly one ``criterion NN: PASS/FAIL`` line.
 
-Criteria 7 and 8 run against the public census income extract when the raw
+Criteria 7, 8 and 12 run against the public census income extract when the raw
 files are present under ``data/census/`` (see scripts/fetch_data.sh);
 otherwise they fall back to the bundled census-style generator, which
 plants the same qualitative structure. The printed line names the source
@@ -276,6 +276,51 @@ def test_criterion_08_census_sweep_directions(tmp_path):
            f"{source}; {successes}/5 master seeds satisfied all three "
            f"directions (need >=4); marital drops [{drop_text}]pp "
            f"(need >=3); {elapsed:.0f}s (limit 600s)")
+
+
+def test_criterion_12_ruca_beats_dca_and_mdr_on_census(tmp_path):
+    """The paper's headline claim: for a range of privacy prices beta, the
+    best RUCA weight scores at least as well as DCA and MDR. Criterion 8's
+    data and seeds; RUCA's marital weight spans 1 .. 1024, far enough to
+    reach MDR's regime (criterion 5)."""
+    t0 = time.perf_counter()
+    train_csv, test_csv, source = _census_raw_files(tmp_path)
+    betas = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    asserted = (0.25, 0.5, 1.0, 2.0)
+    margins = {beta: [] for beta in betas}
+    for master_seed in range(5):
+        train, train_u, train_p = _load_balanced(train_csv,
+                                                 seed=1000 + master_seed)
+        test, test_u, test_p = _load_balanced(test_csv,
+                                              seed=2000 + master_seed)
+        bundle = DataBundle(train=train, train_utility=train_u,
+                            train_privacy=train_p, test=test,
+                            test_utility=test_u, test_privacy=test_p,
+                            privacy_names=("marital-status", "sex"))
+        cfg = ExperimentConfig(
+            methods=(MethodGrid("DCA", (1,)), MethodGrid("MDR", (1,)),
+                     MethodGrid("RUCA", (1,),
+                                tuple((float(2 ** e), 0.0)
+                                      for e in range(11)))),
+            classifier=ClassifierSpec("KNN", 5), iterations=10,
+            fraction=0.10, betas=betas, seed=master_seed)
+        points = run_sweep(cfg, bundle)
+        assert not any(p.failed for p in points)
+        for beta in betas:
+            ruca = max(p.performance[beta] for p in points
+                       if p.method == "RUCA")
+            rival = max(p.performance[beta] for p in points
+                        if p.method != "RUCA")
+            margins[beta].append(ruca - rival)
+    elapsed = time.perf_counter() - t0
+    wins = {beta: sum(m >= 0.0 for m in margins[beta]) for beta in betas}
+    margin_text = "; ".join(
+        f"beta={beta:g}: {min(margins[beta]):+.3f}..{max(margins[beta]):+.3f} "
+        f"({wins[beta]}/5)" for beta in betas)
+    report(12, all(wins[beta] >= 4 for beta in asserted) and elapsed < 15.0,
+           f"{source}; best RUCA (r=1..1024) minus max(DCA, MDR) in perf@beta "
+           f"[{margin_text}]; need >=4/5 seeds for beta <= 2; "
+           f"{elapsed:.1f}s (limit 15s)")
 
 
 def test_criterion_09_performance_arithmetic():

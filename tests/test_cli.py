@@ -319,6 +319,19 @@ class TestFitProjectEvaluate:
                      "--out", str(model_path)]) == 0
         assert json.loads(model_path.read_text())["privacy_weights"] == []
 
+    def test_fit_overflowing_scatter_exits_2(self, tmp_path, bundle_files,
+                                             capsys):
+        huge = tmp_path / "huge.csv"
+        data = load_dataset_csv(bundle_files["train_data"])
+        save_dataset_csv(Dataset(data.x * 1e200), huge)
+        with pytest.warns(RuntimeWarning):
+            code = main(["fit", "--data", str(huge),
+                         "--utility-labels", str(bundle_files["train_utility"]),
+                         "--method", "DCA", "--k", "1",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "s_bar contains non-finite entries" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_minimal_sweep_produces_three_files(self, tmp_path,

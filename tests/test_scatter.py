@@ -151,6 +151,37 @@ class TestComputeScatter:
         assert linalg.max_norm(s.s_b - st_.s_b) <= 1e-9 * scale
         assert linalg.max_norm(s.s_w - st_.s_w) <= 1e-9 * scale
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_square_symmetric_psd_property(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 31))
+        c = int(rng.integers(2, 6))
+        d, l = random_labeled(rng, int(rng.integers(c, 201)), m, c)
+        s = compute_scatter(d, l)
+        for mat in (s.s_bar, s.s_b, s.s_w):
+            assert mat.shape == (m, m)
+            assert np.array_equal(mat, mat.T)
+            floor = -1e-9 * linalg.max_norm(mat)
+            assert np.linalg.eigvalsh(mat).min() >= floor
+
+    def test_overflow_rejected(self):
+        rng = np.random.default_rng(11)
+        d, l = random_labeled(rng, 30, 3, 2)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(InputError,
+                               match="s_bar contains non-finite entries"):
+                compute_scatter(Dataset(d.x * 1e200), l)
+
+    def test_large_offset_breaks_additivity(self):
+        # The class means of 1e12 + N(0, 9) data carry rounding errors near
+        # 1e-4, so the identity misses its 1e-9 tolerance and the labeling
+        # is rejected, not fitted.
+        rng = np.random.default_rng(0)
+        d, l = random_labeled(rng, 400, 2, 2)
+        with pytest.raises(InputError, match="scatter additivity violated"):
+            compute_scatter(Dataset(d.x + 1e12), l)
+
 
 class TestRankBound:
     def test_two_class_balanced(self):
