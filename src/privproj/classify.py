@@ -38,7 +38,10 @@ k by (distance, training index). One size rule picks the search:
 BLAS only chooses candidates and never decides a distance or a tie, so
 neighbour sets are the same on any BLAS build and at any thread count. Test
 points are processed in chunks whose (n_train, n_chunk) block holds at most
-DISTANCE_BLOCK doubles.
+DISTANCE_BLOCK doubles. That block is the only chunk-sized array a search
+holds: the dense sums and the `np.partition` for the k-th distances work on
+one slice of at most PARTITION_SLICE doubles at a time, so a search peaks at
+one block plus one slice (and its candidates).
 """
 
 from __future__ import annotations
@@ -57,9 +60,13 @@ __all__ = ["ClassifierSpec", "AccuracyReport", "train_eval"]
 
 KINDS = ("KNN", "NEAREST_CENTROID")
 
-#: Most doubles in one (n_train, n_chunk) distance block; the partition
-#: copies the block once more.
+#: Most doubles in one (n_train, n_chunk) distance block, the one array a
+#: search holds at the size of the whole chunk.
 DISTANCE_BLOCK = 1 << 18
+#: Most doubles in one slice of that block: `_sq_distances` sums through a
+#: temporary of this size, and `np.partition` copies one slice at a time to
+#: find the k-th distances, so a search peaks at one block plus one slice.
+PARTITION_SLICE = 1 << 14
 #: Training sets at least this large take a fast path (1-D: the sorted
 #: window; wider: the Gram filter); smaller ones the dense block. Measured
 #: crossovers (2 vCPUs, 2030 test points): the window wins from about 32
@@ -104,12 +111,38 @@ class AccuracyReport:
 
 
 def _sq_distances(train: np.ndarray, test_chunk: np.ndarray) -> np.ndarray:
-    """(n_train, n_chunk) squared Euclidean distances, blocked over features."""
+    """(n_train, n_chunk) squared Euclidean distances: (a - b) ** 2 summed
+    in feature order, a slice of at most PARTITION_SLICE doubles at a time
+    through one temporary."""
     n_train, n_chunk = train.shape[1], test_chunk.shape[1]
     out = np.zeros((n_train, n_chunk))
-    for row in range(train.shape[0]):
-        out += (train[row][:, None] - test_chunk[row][None, :]) ** 2
+    step = max(1, PARTITION_SLICE // n_chunk)
+    tmp = np.empty((min(step, n_train), n_chunk))
+    for lo in range(0, n_train, step):
+        part = out[lo:lo + step]
+        t = tmp[:part.shape[0]]
+        for row in range(train.shape[0]):
+            np.subtract(train[row, lo:lo + step, None], test_chunk[row], out=t)
+            np.square(t, out=t)
+            part += t
     return out
+
+
+def _at_or_below_kth(block: np.ndarray, k: int,
+                     slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, rows): the test-point and training indices of the entries of
+    block, one row per test point, that lie at or below their row's k-th
+    smallest plus the row's slack, grouped by test point. `np.partition`
+    copies one slice of at most PARTITION_SLICE doubles at a time."""
+    step = max(1, PARTITION_SLICE // block.shape[1])
+    found = []
+    for lo in range(0, block.shape[0], step):
+        part = block[lo:lo + step]
+        limit = np.partition(part, k - 1, axis=1)[:, k - 1] + slack[lo:lo + step]
+        cols, rows = np.nonzero(part <= limit[:, None])
+        found.append((cols + lo, rows))
+    cols, rows = zip(*found)
+    return np.concatenate(cols), np.concatenate(rows)
 
 
 def _first_k(x_train: np.ndarray, chunk: np.ndarray, rows: np.ndarray,
@@ -139,8 +172,7 @@ def _dense(x_train: np.ndarray, test_chunk: np.ndarray, k: int) -> np.ndarray:
     dist = _sq_distances(x_train, test_chunk)
     if k == 1:  # argmin returns the first of equal minima
         return dist.argmin(axis=0)[None]
-    kth = np.partition(dist, k - 1, axis=0)[k - 1]
-    cols, rows = np.nonzero((dist <= kth).T)
+    cols, rows = _at_or_below_kth(dist.T, k, np.zeros(dist.shape[1]))
     return _first_k(x_train, test_chunk, rows, cols, k)
 
 
@@ -237,9 +269,7 @@ def _gram_neighbors(x_train: np.ndarray, x_test: np.ndarray,
             return _dense(x_train, chunk, k)  # distances may overflow
         h = b.T @ a
         np.subtract(half_sq, h, out=h)
-        limit = (np.partition(h, k - 1, axis=1)[:, k - 1]
-                 + 4 * gamma * reach + floor)
-        cols, rows = np.nonzero(h <= limit[:, None])
+        cols, rows = _at_or_below_kth(h, k, 4 * gamma * reach + floor)
         return _first_k(x_train, chunk, rows, cols, k)
 
     return _chunked(x_test, k, n, select)

@@ -48,8 +48,9 @@ __all__ = [
 
 COLUMN_KINDS = ("numeric", "categorical", "label", "drop")
 
-#: Rows load_csv reads and converts at a time: a block's cells are converted
-#: while they are still in cache, and only their floats and codes are kept.
+#: Rows load_csv reads and converts, and save_dataset_csv formats and
+#: writes, at a time: a block's cells are converted while they are still in
+#: cache, and only one block is held as Python objects or text.
 BLOCK_ROWS = 512
 
 
@@ -454,7 +455,8 @@ def stratified_holdout(l: LabelSet, fraction: float,
 # Header rows go through csv. Values are written with the bytes np.savetxt's
 # %.17g gives, 17 significant digits that make save -> load bit-exact; where a
 # column holds only integers these are its %d digits, formatted from ints. The
-# body is read in one piece and parsed a table at a time by numpy's text codec.
+# body is written BLOCK_ROWS rows at a time, and read in one piece and parsed
+# a table at a time by numpy's text codec.
 
 def _parse_lines(lines: list[str], dtype, n_fields: int) -> np.ndarray | None:
     """(n_lines, n_fields) array of the comma-separated lines; None if numpy's
@@ -500,11 +502,13 @@ def save_dataset_csv(d: Dataset, path) -> None:
     integral = ((np.abs(x) < 2.0 ** 53) & (x == np.floor(x))
                 & ~((x == 0) & np.signbit(x))).all(axis=1)
     row = ",".join(["%d" if i else "%.17g" for i in integral]) + "\n"
-    columns = [(c.astype(np.int64) if i else c).tolist()
-               for c, i in zip(x, integral)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(names)
-        fh.write("".join([row % values for values in zip(*columns)]))
+        for lo in range(0, x.shape[1], BLOCK_ROWS):
+            block = x[:, lo:lo + BLOCK_ROWS]
+            columns = [(c.astype(np.int64) if i else c).tolist()
+                       for c, i in zip(block, integral)]
+            fh.write("".join([row % values for values in zip(*columns)]))
 
 
 def load_dataset_csv(path) -> Dataset:

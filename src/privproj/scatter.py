@@ -14,7 +14,9 @@ symmetry and positive semi-definiteness hold by construction, and
 only up to the rounding of the class means, which a large common offset
 (a column near 1e12 with unit spread) makes coarse. So `ScatterSet`
 checks the identity to `ADDITIVITY_RTOL`, and rejects entries that
-overflowed (finite data near 1e200).
+overflowed (finite data near 1e200). numpy's overflow and invalid-value
+warnings are off while the scatter is taken: either leaves a non-finite
+entry, and the error that rejects it is the one report.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class ScatterSet:
                 f"scatter additivity violated: |s_bar - (s_b + s_w)| = {residual:g}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def total_scatter(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(mean, s_bar): the feature mean and the center-adjusted total scatter."""
     mean = d.x.mean(axis=1)
@@ -70,6 +73,7 @@ def class_means(d: Dataset, l: LabelSet) -> np.ndarray:
     return means
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
     """Two-pass scatter computation: means first, then deviation outer products."""
     if l.n_samples != d.n_samples:

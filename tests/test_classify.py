@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,40 @@ def rank_deficient_problem(seed, m=4, n_distinct=10, n_train=30, n_test=30,
 #: keeps the generator's own width.
 FAST_PATHS = [("_window_neighbors", 1), ("_gram_neighbors", None),
               ("_gram_neighbors", 1)]
+
+
+#: Partition slices the searches are checked at, in rows of the distance
+#: block: a slice per row, slices that split the test problems at several
+#: places, and the shipped PARTITION_SLICE (None).
+SLICE_ROWS = [1, 2, 3, None]
+
+#: Every search, with the feature count it is called at (None keeps the
+#: generator's own width).
+SEARCHES = [("_dense_neighbors", None), *FAST_PATHS]
+
+
+def sliced(mp, slice_rows, n_train):
+    """Patch PARTITION_SLICE to slice_rows rows of n_train doubles."""
+    if slice_rows is not None:
+        mp.setattr(classify, "PARTITION_SLICE", slice_rows * n_train)
+
+
+def plain_sq_distances(x_train, x_test):
+    """The distance block as it was: (train - test) ** 2 summed over
+    features, one whole-block temporary per feature."""
+    out = np.zeros((x_train.shape[1], x_test.shape[1]))
+    for row in range(x_train.shape[0]):
+        out += (x_train[row][:, None] - x_test[row][None, :]) ** 2
+    return out
+
+
+def census_shaped(rng, n):
+    """29 features like the census FULL baseline: 0/1 bits, an age and a
+    sampling weight that dominates the distances."""
+    x = rng.integers(0, 2, size=(29, n)).astype(float)
+    x[0] = rng.integers(17, 91, n)
+    x[1] = rng.integers(10_000, 1_500_000, n)
+    return x
 
 
 def confusion_of(test_labels, predictions):
@@ -231,6 +267,59 @@ class TestNeighborSelection:
                            chunk_columns * train.n_samples)
             got = getattr(classify, search)(train.x, test.x, k)
         assert np.array_equal(got, argsort_neighbors(train.x, test.x, k))
+
+    @pytest.mark.parametrize("slice_rows", SLICE_ROWS)
+    @pytest.mark.parametrize("search, m", SEARCHES)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 3, 5, 7]),
+           st.sampled_from([bits_problem, rank_deficient_problem]),
+           st.sampled_from([None, 7]))
+    @settings(max_examples=25, deadline=None)
+    def test_partition_slices_match_stable_argsort(self, slice_rows, search, m,
+                                                   seed, k, problem,
+                                                   chunk_columns):
+        # Tie-heavy 0/1 bits and constant-column data. 67 training and 41
+        # test points are multiples of neither 2 nor 3, so slices of the
+        # block and of the distance sums end part-way at every size.
+        width = {} if m is None else {"m": m}
+        train, _, test, _ = problem(seed, n_train=67, n_test=41, **width)
+        with pytest.MonkeyPatch.context() as mp:
+            sliced(mp, slice_rows, train.n_samples)
+            if chunk_columns is not None:
+                mp.setattr(classify, "DISTANCE_BLOCK",
+                           chunk_columns * train.n_samples)
+            got = getattr(classify, search)(train.x, test.x, k)
+        assert np.array_equal(got, argsort_neighbors(train.x, test.x, k))
+
+    @pytest.mark.parametrize("slice_rows", SLICE_ROWS)
+    def test_sq_distances_match_the_plain_sum(self, slice_rows):
+        rng = np.random.default_rng(0)
+        for m, n_train, n_test in [(1, 67, 41), (5, 41, 67), (29, 7, 3)]:
+            x_train = rng.standard_normal((m, n_train)) * 10.0 ** rng.integers(
+                -150, 150, (m, 1))
+            x_test = rng.standard_normal((m, n_test)) * 10.0 ** rng.integers(
+                -150, 150, (m, 1))
+            with pytest.MonkeyPatch.context() as mp:
+                sliced(mp, slice_rows, n_test)
+                got = classify._sq_distances(x_train, x_test)
+            assert np.array_equal(got, plain_sq_distances(x_train, x_test))
+
+    def test_census_gram_search_holds_one_block(self):
+        # The FULL baseline of the census sweep: 360 training points and
+        # 29 features. Beyond its h block a search may hold one partition
+        # slice, the centred test chunk and the candidates, not a second
+        # block.
+        rng = np.random.default_rng(0)
+        x_train, x_test = census_shaped(rng, 360), census_shaped(rng, 1740)
+        block = classify.DISTANCE_BLOCK // 360 * 360 * 8
+        classify._gram_neighbors(x_train, x_test, 5)
+        tracemalloc.start()
+        try:
+            got = classify._gram_neighbors(x_train, x_test, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
+        assert np.array_equal(got, argsort_neighbors(x_train, x_test, 5))
 
     def test_window_reaches_ties_past_its_edge(self):
         # Guards the 1-D inputs above: duplicate 1-D bits tie far beyond the

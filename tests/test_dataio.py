@@ -280,8 +280,9 @@ def _recode_color(value):
     return {"A": "a"}.get(value, value)
 
 
-#: Block sizes the streaming loader is checked at: a block per row, blocks
-#: that split the test files at several places, and the shipped size.
+#: Block sizes the streaming loader and the dataset writer are checked at:
+#: a block per row, blocks that split the test files at several places, and
+#: the shipped size.
 BLOCK_SIZES = [1, 2, 3, dataio.BLOCK_ROWS]
 
 #: name: (kind, categories, cells that load, cells that drop or fault).
@@ -634,7 +635,8 @@ def _tables(draw):
 
 
 class TestWriterBytes:
-    """save_dataset_csv / save_labels_csv write np.savetxt's bytes."""
+    """save_dataset_csv / save_labels_csv write np.savetxt's bytes; the
+    dataset writer at every block size of BLOCK_SIZES."""
 
     @pytest.mark.parametrize("x", [
         [[0, 1, 1, 0], [1, 0, 1, 1], [39, 50, 38, 53], [77516, 83311, 0, 7]],
@@ -647,18 +649,24 @@ class TestWriterBytes:
             *(f"edge-{v!r}" for v in EDGE_VALUES), "one-feature", "no-samples"])
     def test_dataset_matches_savetxt(self, tmp_path, x):
         d = _unchecked_dataset(x)
-        save_dataset_csv(d, tmp_path / "new.csv")
-        assert (tmp_path / "new.csv").read_bytes() == \
-            _savetxt_dataset_bytes(d, tmp_path / "old.csv")
+        want = _savetxt_dataset_bytes(d, tmp_path / "old.csv")
+        for block_rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+                save_dataset_csv(d, tmp_path / "new.csv")
+            assert (tmp_path / "new.csv").read_bytes() == want, block_rows
 
     @given(_tables())
     @settings(max_examples=200, deadline=None)
     def test_dataset_matches_savetxt_on_random_tables(self, tmp_path_factory, x):
         tmp = tmp_path_factory.mktemp("writer")
         d = _unchecked_dataset(x)
-        save_dataset_csv(d, tmp / "new.csv")
-        assert (tmp / "new.csv").read_bytes() == \
-            _savetxt_dataset_bytes(d, tmp / "old.csv")
+        want = _savetxt_dataset_bytes(d, tmp / "old.csv")
+        for block_rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+                save_dataset_csv(d, tmp / "new.csv")
+            assert (tmp / "new.csv").read_bytes() == want, block_rows
 
     @pytest.mark.parametrize("n", [1, 2, 37, 4096])
     @pytest.mark.parametrize("classes", [2, 3, 12])

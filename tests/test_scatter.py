@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from privproj import linalg
 from privproj.data import Dataset, LabelSet
 from privproj.errors import EmptyClass, InputError, LengthMismatch
 from privproj.scatter import compute_scatter, rank_bound_check
+from privproj.synthetic import tradeoff_bundle
 
 
 def brute_force_scatter(x, labels, c):
@@ -166,12 +169,17 @@ class TestComputeScatter:
             assert np.linalg.eigvalsh(mat).min() >= floor
 
     def test_overflow_rejected(self):
-        rng = np.random.default_rng(11)
-        d, l = random_labeled(rng, 30, 3, 2)
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(InputError,
-                               match="s_bar contains non-finite entries"):
-                compute_scatter(Dataset(d.x * 1e200), l)
+        # The error is the one report: numpy warns of neither the overflow
+        # nor the inf - inf it can lead to (the trade-off bundle's sums meet
+        # one in OpenBLAS).
+        d, l = random_labeled(np.random.default_rng(11), 30, 3, 2)
+        bundle = tradeoff_bundle(seed=5)
+        for x, labels in ((d.x, l), (bundle.train.x, bundle.train_utility)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError,
+                                   match="s_bar contains non-finite entries"):
+                    compute_scatter(Dataset(x * 1e200), labels)
 
     def test_large_offset_breaks_additivity(self):
         # The class means of 1e12 + N(0, 9) data carry rounding errors near
