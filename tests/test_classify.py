@@ -127,8 +127,8 @@ def sliced(mp, slice_rows, n_train):
 
 
 def plain_sq_distances(x_train, x_test):
-    """The distance block as it was: (train - test) ** 2 summed over
-    features, one whole-block temporary per feature."""
+    """Reference distance block: (train - test) ** 2 summed over features,
+    one whole-block temporary per feature."""
     out = np.zeros((x_train.shape[1], x_test.shape[1]))
     for row in range(x_train.shape[0]):
         out += (x_train[row][:, None] - x_test[row][None, :]) ** 2
