@@ -68,8 +68,10 @@ def cmd_preprocess(args) -> int:
     recoders = ({"marital-status": recode_census_marital}
                 if args.recode_census_marital else None)
     loaded = load_csv(args.input, schema, recoders=recoders)
-    dataset, labels = loaded
     print(f"kept {loaded.n_rows_kept} rows, dropped {loaded.n_rows_dropped} rows")
+    # Only the names hold the table, so balancing frees the unbalanced one.
+    dataset, labels = loaded
+    del loaded
     print(f"features: {dataset.n_features}")
 
     if args.balance_on:
@@ -78,6 +80,10 @@ def cmd_preprocess(args) -> int:
         if missing:
             raise InputError(f"--balance-on names unknown label columns "
                              f"{missing}; have {sorted(labels)}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise InputError(f"--balance-on names label columns more than "
+                             f"once: {repeated}")
         joint = joint_labels([labels[n] for n in names])
         idx = balance_indices(joint, seed=args.seed)
         dataset = dataset.take(idx)

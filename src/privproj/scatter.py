@@ -75,7 +75,12 @@ def class_means(d: Dataset, l: LabelSet) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
-    """Two-pass scatter computation: means first, then deviation outer products."""
+    """Two-pass scatter computation: means first, then deviation outer products.
+
+    Beyond d it holds one table-sized buffer at a time, the centered table
+    for s_bar and then the class-mean deviations for s_w, and a few m x m
+    products (traced: 43.5 MiB for a 561 x 7352 table of 31.5 MiB, whose
+    m x m matrices take 2.4 MiB each)."""
     if l.n_samples != d.n_samples:
         raise LengthMismatch(
             f"labels cover {l.n_samples} samples but dataset has {d.n_samples}")
@@ -86,7 +91,9 @@ def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
     between = (means - mean[:, None]) * np.sqrt(l.counts())
     s_b = linalg.symmetrize(between @ between.T)
 
-    within = d.x - means[:, l.labels]
+    # One table-sized buffer: the gathered class means, then the deviations.
+    within = means[:, l.labels]
+    np.subtract(d.x, within, out=within)
     s_w = linalg.symmetrize(within @ within.T)
 
     return ScatterSet(s_bar=s_bar, s_b=s_b, s_w=s_w, mean=mean)

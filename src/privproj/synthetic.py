@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dataio
 from .data import Dataset, LabelSet
-from .dataio import ADULT_COLUMNS
 from .errors import InputError
 from .experiment import DataBundle
 from .seeds import rng_from
@@ -142,9 +142,6 @@ _RELATIONSHIP_P = {1: (0.45, 0.40, 0.08, 0.07), 2: (0.42, 0.38, 0.12, 0.08)}
 _SEX = _names("Female", "Male")
 _INCOME = _names("<=50K", ">50K")
 
-#: rows formatted per write; bounds the text held at once.
-_BLOCK_ROWS = 4096
-
 
 def _normalized(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
@@ -231,9 +228,9 @@ def write_adult_like_csv(path, seed: int, n_rows: int,
     # No field holds a comma, quote or line break, so this is the text a
     # csv writer would emit: no field needs quoting.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ADULT_COLUMNS) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = [col[lo:lo + _BLOCK_ROWS].tolist() for col in columns]
+        fh.write(",".join(dataio.ADULT_COLUMNS) + "\n")
+        for lo in range(0, n, dataio.BLOCK_ROWS):
+            block = [col[lo:lo + dataio.BLOCK_ROWS].tolist() for col in columns]
             block = [cells if col.dtype == object else list(map(str, cells))
                      for col, cells in zip(columns, block)]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")

@@ -12,6 +12,15 @@ def class_assignment(rng, n, c):
     return labels
 
 
+def census_shaped(rng, n):
+    """29 features like the census FULL baseline: 0/1 bits, an age and a
+    sampling weight that dominates the distances."""
+    x = rng.integers(0, 2, size=(29, n)).astype(float)
+    x[0] = rng.integers(17, 91, n)
+    x[1] = rng.integers(10_000, 1_500_000, n)
+    return x
+
+
 def separated_instance(seed, m=8, n=120, c_u=2, c_p=3, sep_u=6.0, sep_p=4.0,
                        noise=1.0):
     """Dataset whose utility and privacy labelings both have strong

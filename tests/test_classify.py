@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import class_assignment
+from conftest import census_shaped, class_assignment
 from privproj import classify
 from privproj.classify import AccuracyReport, ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
@@ -133,15 +133,6 @@ def plain_sq_distances(x_train, x_test):
     for row in range(x_train.shape[0]):
         out += (x_train[row][:, None] - x_test[row][None, :]) ** 2
     return out
-
-
-def census_shaped(rng, n):
-    """29 features like the census FULL baseline: 0/1 bits, an age and a
-    sampling weight that dominates the distances."""
-    x = rng.integers(0, 2, size=(29, n)).astype(float)
-    x[0] = rng.integers(17, 91, n)
-    x[1] = rng.integers(10_000, 1_500_000, n)
-    return x
 
 
 def confusion_of(test_labels, predictions):

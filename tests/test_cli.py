@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from privproj.cli import main
 from privproj.data import Dataset, LabelSet
 from privproj.dataio import (load_dataset_csv, load_labels_csv,
                              save_dataset_csv, save_labels_csv)
-from privproj.synthetic import tradeoff_bundle
+from privproj import cli
+from privproj.synthetic import tradeoff_bundle, write_adult_like_csv
 
 TOY_SCHEMA = {
     "columns": [
@@ -157,6 +160,46 @@ class TestPreprocess:
                      "--balance-on", "nope",
                      "--output", str(tmp_path / "out")])
         assert code == 2
+
+    def test_repeated_balance_label_exits_2_naming_it(self, tmp_path,
+                                                      toy_schema_path, capsys):
+        raw = tmp_path / "raw.csv"
+        write_raw_rows(raw, [("1.0", "a", "yes"), ("2.0", "b", "no")])
+        code = main(["preprocess", "--input", str(raw),
+                     "--schema", str(toy_schema_path),
+                     "--balance-on", "group,group",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --balance-on names label columns more than once: "
+            "['group']\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unbalanced_table_freed_before_write(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # While the balanced table is written, the one it was taken from
+        # (4000 census rows, 0.93 MB) is no longer held.
+        raw = tmp_path / "raw.csv"
+        write_adult_like_csv(raw, seed=3, n_rows=4000, missing_rate=0.0)
+        schema = resources.files("privproj.schemas") / "census_adult.json"
+        held = []
+        save = cli.save_dataset_csv
+
+        def spy(dataset, path):
+            held.append(tracemalloc.get_traced_memory()[0] - dataset.x.nbytes)
+            save(dataset, path)
+
+        monkeypatch.setattr(cli, "save_dataset_csv", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["preprocess", "--input", str(raw),
+                         "--schema", str(schema), "--recode-census-marital",
+                         "--balance-on", "marital-status,sex",
+                         "--output", str(tmp_path / "out")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert held[0] - base < 0.5 * (4000 * 29 * 8)
 
     def test_oversized_field_exits_2_naming_line(self, tmp_path,
                                                  toy_schema_path, capsys):

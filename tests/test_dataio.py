@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -667,6 +668,42 @@ class TestWriterBytes:
                 mp.setattr(dataio, "BLOCK_ROWS", block_rows)
                 save_dataset_csv(d, tmp / "new.csv")
             assert (tmp / "new.csv").read_bytes() == want, block_rows
+
+    @pytest.mark.parametrize("value", [0.5, -0.0, 1e17],
+                             ids=["fraction", "negative-zero", "beyond-2^53"])
+    def test_later_block_decides_the_format(self, tmp_path, value):
+        # The column's one value that %d cannot print sits in the last
+        # block at every block size, so a format read off the first block
+        # alone writes it wrong.
+        n = max(BLOCK_SIZES) + 2
+        x = np.arange(2.0 * n).reshape(2, n)
+        x[1, -1] = value
+        d = _unchecked_dataset(x)
+        want = _savetxt_dataset_bytes(d, tmp_path / "old.csv")
+        for block_rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+                save_dataset_csv(d, tmp_path / "new.csv")
+            assert (tmp_path / "new.csv").read_bytes() == want, block_rows
+
+    def test_dataset_peak_does_not_grow_with_rows(self, tmp_path):
+        # Mixed integral and fractional columns, 4 and 32 blocks long: the
+        # writer holds one block's masks and text, not table-sized ones.
+        rng = np.random.default_rng(0)
+
+        def traced_peak(n):
+            x = rng.standard_normal((29, n))
+            x[::2] = np.round(x[::2])
+            d = Dataset(np.asfortranarray(x))
+            tracemalloc.start()
+            try:
+                save_dataset_csv(d, tmp_path / "d.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(32 * dataio.BLOCK_ROWS) < \
+            1.2 * traced_peak(4 * dataio.BLOCK_ROWS)
 
     @pytest.mark.parametrize("n", [1, 2, 37, 4096])
     @pytest.mark.parametrize("classes", [2, 3, 12])

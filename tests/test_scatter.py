@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import census_shaped
 from privproj import linalg
 from privproj.data import Dataset, LabelSet
 from privproj.errors import EmptyClass, InputError, LengthMismatch
@@ -29,6 +31,22 @@ def brute_force_scatter(x, labels, c):
         for i in range(members.shape[1]):
             e = members[:, i] - mu_c
             s_w += np.outer(e, e)
+    return s_bar, s_b, s_w
+
+
+def two_temporary_scatter(x, labels, c):
+    """compute_scatter's (s_bar, s_b, s_w) as formed with a gathered mean
+    table and a separate difference table."""
+    mean = x.mean(axis=1)
+    centered = x - mean[:, None]
+    s_bar = linalg.symmetrize(centered @ centered.T)
+    means = np.empty((x.shape[0], c))
+    for j in range(c):
+        means[:, j] = x[:, labels == j].mean(axis=1)
+    between = (means - mean[:, None]) * np.sqrt(np.bincount(labels, minlength=c))
+    s_b = linalg.symmetrize(between @ between.T)
+    within = x - means[:, labels]
+    s_w = linalg.symmetrize(within @ within.T)
     return s_bar, s_b, s_w
 
 
@@ -189,6 +207,51 @@ class TestComputeScatter:
         d, l = random_labeled(rng, 400, 2, 2)
         with pytest.raises(InputError, match="scatter additivity violated"):
             compute_scatter(Dataset(d.x + 1e12), l)
+
+
+def _constant_column(rng, n):
+    x = rng.standard_normal((6, n)) * 3.0
+    x[2] = 7.25
+    return x
+
+
+DIFFERENTIAL_CASES = {  # id: (table maker, n, c)
+    "gaussian": (lambda rng, n: rng.standard_normal((12, n)) * 3.0, 300, 3),
+    "census-bits": (census_shaped, 1000, 3),
+    "n-below-m": (lambda rng, n: rng.standard_normal((40, n)), 9, 4),
+    "constant-column": (_constant_column, 200, 2),
+}
+
+
+class TestOneBufferWithin:
+    """s_w is formed in one table-sized buffer; every matrix keeps the bits
+    of the two-temporary formula, on both memory layouts."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    def test_matches_two_temporary_bits(self, case, order):
+        make, n, c = DIFFERENTIAL_CASES[case]
+        rng = np.random.default_rng(0)
+        x = np.asarray(make(rng, n), order=order)
+        labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+        s = compute_scatter(Dataset(x), LabelSet(labels, c))
+        for got, want in zip((s.s_bar, s.s_b, s.s_w),
+                             two_temporary_scatter(x, labels, c)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_holds_one_table_beyond_its_input(self, order):
+        rng = np.random.default_rng(1)
+        d = Dataset(np.asarray(census_shaped(rng, 4000), order=order))
+        l = LabelSet(rng.integers(0, 2, 4000), 2)
+        compute_scatter(d, l)
+        tracemalloc.start()
+        try:
+            compute_scatter(d, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.x.nbytes
 
 
 class TestRankBound:

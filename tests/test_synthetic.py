@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from privproj import dataio
 from privproj.dataio import load_csv, load_schema, recode_census_marital
 from privproj.errors import InputError
 from privproj.synthetic import tradeoff_bundle, write_adult_like_csv
@@ -123,6 +124,15 @@ class TestAdultLikeCsv:
         write_adult_like_csv(path, seed=seed, n_rows=n_rows,
                              missing_rate=missing_rate)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_bytes_do_not_depend_on_block_rows(self, tmp_path, monkeypatch,
+                                               block_rows):
+        monkeypatch.setattr(dataio, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "a.csv"
+        write_adult_like_csv(path, seed=3, n_rows=2000, missing_rate=0.01)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ad45663dbf9f990131784ee95adf2939268a204f898c2976067d9bcd39a87d20")
 
     def test_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
