@@ -69,7 +69,8 @@ def cmd_preprocess(args) -> int:
                 if args.recode_census_marital else None)
     loaded = load_csv(args.input, schema, recoders=recoders)
     print(f"kept {loaded.n_rows_kept} rows, dropped {loaded.n_rows_dropped} rows")
-    # Only the names hold the table, so balancing frees the unbalanced one.
+    # Only these names hold the table, so balancing frees the unbalanced one
+    # before the balanced one is written.
     dataset, labels = loaded
     del loaded
     print(f"features: {dataset.n_features}")

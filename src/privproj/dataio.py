@@ -51,9 +51,10 @@ __all__ = [
 
 COLUMN_KINDS = ("numeric", "categorical", "label", "drop")
 
-#: Rows load_csv reads and converts, and save_dataset_csv formats and
-#: writes, at a time: a block's cells are converted while they are still in
-#: cache, and only one block is held as Python objects or text.
+#: Rows load_csv reads and converts, save_dataset_csv checks, formats and
+#: writes, and write_adult_like_csv formats, at a time: a block's cells are
+#: converted while they are still in cache, and only one block is held as
+#: Python objects, masks or text.
 BLOCK_ROWS = 512
 
 
@@ -506,8 +507,7 @@ def save_dataset_csv(d: Dataset, path) -> None:
     names = d.feature_names or tuple(f"x{i}" for i in range(d.n_features))
     x = d.x
     # %.17g prints an integer below 2**53 in its %d digits, except -0.0 as
-    # "-0"; |x| < 2**53 also rules out nan and inf. Decided a block of
-    # samples at a time, so the masks are block-sized, not table-sized.
+    # "-0"; |x| < 2**53 also rules out nan and inf.
     integral = np.ones(x.shape[0], dtype=bool)
     for lo in range(0, x.shape[1], BLOCK_ROWS):
         block = x[:, lo:lo + BLOCK_ROWS]
