@@ -5,7 +5,13 @@ trade-off table/chart emission.
 The sweep is iteration-major: each iteration draws its subsample once, fits
 every live cell with one `fit_methods` call (each labeling's scatter and
 each distinct pencil once, all eigenproblems in one stacked solve), then
-scores the cells on the worker threads while the next iteration is fitted.
+projects the cells one at a time on the calling thread and hands only the
+scoring of the small projected tables to the worker threads, which score
+while the next iteration is fitted. At most one earlier iteration is still
+scoring when an iteration is fitted. Each projection makes a centered copy
+of its table: made on two workers at once, on top of the next fit, those
+copies raised the peak RSS of `bench/run.py --workload cli_pipeline` by
+about 4 MB, and a main thread free to run ahead queued projected tables.
 
 Determinism contract: an iteration's subsample depends only on (seed,
 iteration), so every cell sees the same draws; only RANDOM fits are salted
@@ -23,7 +29,8 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -32,7 +39,8 @@ from .classify import ClassifierSpec, train_eval
 from .data import Dataset, LabelSet
 from .dataio import open_text, subsample
 from .errors import (DimensionMismatch, InputError, LengthMismatch,
-                     PrivprojError, as_floats, as_tuple, is_integer, is_real)
+                     ParseError, PrivprojError, as_floats, as_tuple,
+                     is_integer, is_real)
 # fit_method is unused here but stays importable: bench/workloads.py wraps
 # experiment.fit_method by name.
 from .projections import (ProjectionConfig, fit_method,  # noqa: F401
@@ -202,21 +210,38 @@ def performance(acc_u: float, acc_p: float, beta: float) -> float:
     return acc_u + beta * (1.0 - acc_p)
 
 
-def _score(model, train: Dataset, train_labels, bundle: DataBundle,
-           spec: ClassifierSpec):
-    """(acc_u, acc_p per task) of one fitted projection (None: no
-    projection) on one iteration's subsample, or the PrivprojError raised.
-    One `train_eval` call scores every labeling over one neighbour search."""
+def _score(train_z: Dataset, train_labels, test_z: Dataset,
+           bundle: DataBundle, spec: ClassifierSpec):
+    """(acc_u, acc_p per task) of one cell's projected subsample and test
+    set (the raw tables for the baseline), or the PrivprojError raised. One
+    `train_eval` call scores every labeling over one neighbour search. The
+    projection is made by the caller, so a sweep worker running this holds
+    only (k x n) tables, never a table-sized centered copy."""
     try:
-        if model is None:
-            train_z, test_z = train, bundle.test
-        else:
-            train_z, test_z = project(model, train), project(model, bundle.test)
         reports = train_eval(train_z, train_labels, test_z,
                              (bundle.test_utility, *bundle.test_privacy), spec)
     except PrivprojError as exc:
         return exc
     return reports[0].accuracy, [report.accuracy for report in reports[1:]]
+
+
+def _project_and_score(pool, model, train: Dataset, train_labels,
+                       bundle: DataBundle, spec: ClassifierSpec):
+    """One cell's outcome for one iteration: its scores (a Future of them
+    with a pool), or the PrivprojError its fit or projection raised. The
+    model (None: no projection) is projected onto the subsample and the
+    test set on the calling thread; the projected tables live only as long
+    as their scoring."""
+    if isinstance(model, PrivprojError):
+        return model
+    try:
+        train_z, test_z = ((train, bundle.test) if model is None
+                           else (project(model, train),
+                                 project(model, bundle.test)))
+    except PrivprojError as exc:
+        return exc
+    task = (train_z, train_labels, test_z, bundle, spec)
+    return pool.submit(_score, *task) if pool else _score(*task)
 
 
 def _std(values: np.ndarray) -> float:
@@ -270,9 +295,15 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
 
     Works one iteration at a time: draw the subsample, fit every live
     cell's projection with one `fit_methods` call (shared scatters and
-    pencils, one stacked eigensolve), then score each cell. Scoring runs on
-    `threads` workers (threads=0 picks the CPU count) while the next
-    iteration is fitted; any thread count produces the same result list.
+    pencils, one stacked eigensolve), then project each cell onto the
+    subsample and the test set on the calling thread, one cell at a time,
+    and score it. Scoring runs on `threads` workers (threads=0 picks the
+    CPU count) while the next iteration is fitted; before fitting
+    iteration i the sweep waits until iteration i-2 has been scored, so at
+    most one earlier iteration is still scoring. Both keep the peak RSS
+    from growing with the thread count: the workers make no table-sized
+    copies, and the main thread cannot queue projected tables. Any thread
+    count produces the same result list.
     A failing cell yields a row with the status of its first failing
     iteration instead of aborting the run; once its failure is known, it
     is not fitted again.
@@ -283,9 +314,12 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
     split_seed = mix(cfg.seed or 0, "subsample")
     all_labels = [bundle.train_utility, *bundle.train_privacy]
     outcomes = [[] for _ in cells]
+    scoring = deque()  # each scoring iteration's futures, oldest first
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         for it in range(cfg.iterations):
+            if len(scoring) == 2:
+                wait(scoring.popleft())
             live = [c for c, out in enumerate(outcomes)
                     if not any(isinstance(o, PrivprojError) for o in out)]
             try:
@@ -302,14 +336,11 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
                 sub_train, utility, privacy,
                 [_salted(cells[c], cfg.seed, it) for c in fitted])))
             for c in live:
-                model = models[c]
-                if isinstance(model, PrivprojError):
-                    outcomes[c].append(model)
-                    continue
-                task = (model, sub_train, (utility, *privacy), bundle,
-                        cfg.classifier)
-                outcomes[c].append(pool.submit(_score, *task) if pool
-                                   else _score(*task))
+                outcomes[c].append(_project_and_score(
+                    pool, models[c], sub_train, (utility, *privacy), bundle,
+                    cfg.classifier))
+            scoring.append([outcomes[c][-1] for c in live
+                            if isinstance(outcomes[c][-1], Future)])
     rows = [(FULL_BASELINE, bundle.train.n_features, ()),
             *((c.method, c.k, c.privacy_weights) for c in cfg.cells)]
     return [_point(row, [o.result() if isinstance(o, Future) else o
@@ -396,30 +427,65 @@ def _float_or_nan(text: str) -> float:
     return float(text) if text else math.nan
 
 
+#: Columns every trade-off CSV has, whatever its privacy tasks and betas.
+_TRADEOFF_COLUMNS = ("method", "k", "privacy_weights", "acc_u_mean",
+                     "acc_u_std", "status")
+
+
+def _parsed(row: dict, column: str, convert):
+    try:
+        return convert(row[column])
+    except ValueError as exc:
+        raise ValueError(f"column {column!r}: {exc}") from None
+
+
+def _tradeoff_point(row: dict, p_means: list[str],
+                    betas: dict[str, float]) -> TradeoffPoint:
+    if None in row:
+        raise ValueError("row has more fields than the header")
+    if None in row.values():
+        raise ValueError("row has fewer fields than the header")
+    return TradeoffPoint(
+        method=row["method"], k=_parsed(row, "k", int),
+        privacy_weights=_parsed(row, "privacy_weights", lambda text: tuple(
+            float(w) for w in text.split(";") if w)),
+        acc_u_mean=_parsed(row, "acc_u_mean", _float_or_nan),
+        acc_u_std=_parsed(row, "acc_u_std", _float_or_nan),
+        acc_p_means=tuple(_parsed(row, c, _float_or_nan) for c in p_means),
+        acc_p_stds=tuple(_parsed(row, c.replace("_mean", "_std"),
+                                 _float_or_nan) for c in p_means),
+        performance={beta: _parsed(row, c, _float_or_nan)
+                     for c, beta in betas.items()},
+        status=row["status"])
+
+
 def read_tradeoff_points(path) -> list[TradeoffPoint]:
     """Parse a trade-off CSV back into points; emitting them again writes
-    the same bytes."""
-    rows = read_tradeoff_csv(path)
+    the same bytes. A malformed file raises ParseError as path:line: reason."""
+    with open_text(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no rows")
-    header = list(rows[0].keys())
+    header = reader.fieldnames
     p_means = [c for c in header if c.startswith("acc_p") and
                c.endswith("_mean")]
-    betas = [c for c in header if c.startswith("perf@")]
-    points = []
-    for row in rows:
-        weights = tuple(float(w) for w in row["privacy_weights"].split(";")
-                        if w)
-        points.append(TradeoffPoint(
-            method=row["method"], k=int(row["k"]), privacy_weights=weights,
-            acc_u_mean=_float_or_nan(row["acc_u_mean"]),
-            acc_u_std=_float_or_nan(row["acc_u_std"]),
-            acc_p_means=tuple(_float_or_nan(row[c]) for c in p_means),
-            acc_p_stds=tuple(_float_or_nan(row[c.replace("_mean", "_std")])
-                             for c in p_means),
-            performance={float(c.split("@", 1)[1]): _float_or_nan(row[c])
-                         for c in betas},
-            status=row["status"]))
+    line = 1
+    try:
+        missing = [c for c in (*_TRADEOFF_COLUMNS, *(
+            c.replace("_mean", "_std") for c in p_means)) if c not in header]
+        if missing:
+            raise ValueError(f"missing column {missing[0]!r}")
+        betas = {c: float(c.split("@", 1)[1]) for c in header
+                 if c.startswith("perf@")}
+        points = []
+        for line, row in rows:
+            points.append(_tradeoff_point(row, p_means, betas))
+    except ValueError as exc:
+        raise ParseError(f"{path}:{line}: {exc}") from None
     return points
 
 

@@ -576,6 +576,32 @@ class TestPlot:
         assert main(["plot", "--csv", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "o.svg")]) == 2
 
+    HEADER = ("method,k,privacy_weights,acc_u_mean,acc_u_std,acc_p0_mean,"
+              "acc_p0_std,perf@1,status")
+    GOOD_ROW = "FULL,3,,0.75,0.1,0.5,0.05,1.25,ok"
+
+    @pytest.mark.parametrize("lines, line, reason", [
+        ([HEADER, GOOD_ROW, "DCA,1.5,,0.7,0.1,0.4,0.0,1.3,ok"], 3,
+         "column 'k': invalid literal for int()"),
+        ([HEADER.replace("k,", "", 1), "FULL,,0.75,0.1,0.5,0.05,1.25,ok"], 1,
+         "missing column 'k'"),
+        ([HEADER, GOOD_ROW, "DCA,1,,high,0.1,0.4,0.0,1.3,ok"], 3,
+         "column 'acc_u_mean': could not convert string to float: 'high'"),
+        ([HEADER, GOOD_ROW, "DCA,1,,0.7"], 3,
+         "row has fewer fields than the header"),
+    ], ids=["non-integer-k", "missing-k-column", "non-numeric-accuracy",
+            "short-row"])
+    def test_plot_malformed_csv_exits_2_naming_line(self, tmp_path, capsys,
+                                                   lines, line, reason):
+        table = tmp_path / "tradeoff.csv"
+        table.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--csv", str(table), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}:{line}: {reason}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestInputEncoding:
     @pytest.mark.parametrize("argv, source", [

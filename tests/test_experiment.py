@@ -1,13 +1,16 @@
 """Tests for sweep orchestration, the performance criterion, and trade-off
 table/chart emission."""
 
+import collections
 import functools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from privproj import linalg
+from privproj import experiment, linalg
 from privproj.classify import ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
 from privproj.dataio import subsample
@@ -18,7 +21,8 @@ from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
                                  emit_tradeoff_curve, performance,
                                  read_tradeoff_csv, read_tradeoff_points,
                                  render_svg, run_sweep)
-from privproj.projections import ProjectionConfig, fit_method, project
+from privproj.projections import (ProjectionConfig, fit_method, fit_methods,
+                                  project)
 from privproj.seeds import mix
 from privproj.synthetic import tradeoff_bundle
 
@@ -247,15 +251,97 @@ class TestRunSweep:
         assert points[0].k == bundle.train.n_features
         assert points[0].privacy_weights == ()
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs_and_threads(self, tmp_path,
+                                                   monkeypatch):
+        """Any thread count gives the same points, and every projection
+        runs on the thread that called run_sweep: the workers only score."""
         bundle = small_bundle()
         cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
                                     MethodGrid("PCA", (1,))))
         a = run_sweep(cfg, bundle)
         b = run_sweep(cfg, bundle)
+        projecting = []
+
+        def recording_project(model, d):
+            projecting.append(threading.get_ident())
+            return project(model, d)
+
+        monkeypatch.setattr(experiment, "project", recording_project)
         c = run_sweep(cfg, bundle, threads=3)
         d = run_sweep(cfg, bundle, threads=0)
-        assert a == b == c == d
+        e = run_sweep(cfg, bundle, threads=2)
+        assert a == b == c == d == e
+        assert (csv_bytes(e, tmp_path / "two")
+                == csv_bytes(a, tmp_path / "one"))
+        # 3 sweeps x 3 iterations x 3 projected cells x (subsample, test)
+        assert projecting == [threading.get_ident()] * 54
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_projection_fails_its_cell_alone(self, tmp_path,
+                                                     monkeypatch, threads):
+        """A PrivprojError from project is the outcome of that cell in that
+        iteration, with the status it raised; every other row is the row
+        of a sweep without the failure."""
+        bundle = small_bundle(seed=4)
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))))
+        clean = run_sweep(cfg, bundle, threads=threads)
+        calls = []
+
+        def failing_project(model, d):
+            # The DCA k=2 cell's projection of iteration 1's subsample.
+            if model.config.method == "DCA" and model.config.k == 2:
+                calls.append(d)
+                if len(calls) == 3:
+                    raise DimensionMismatch("injected projection failure")
+            return project(model, d)
+
+        monkeypatch.setattr(experiment, "project", failing_project)
+        points = run_sweep(cfg, bundle, threads=threads)
+        assert points[2].status == (
+            "failed: DimensionMismatch: injected projection failure")
+        assert math.isnan(points[2].acc_u_mean)
+        # Iterations 0 and 1 projected; the failed cell is not fitted again.
+        assert len(calls) == 3
+        assert (csv_bytes(points[:2] + points[3:], tmp_path / "rest")
+                == csv_bytes(clean[:2] + clean[3:], tmp_path / "clean"))
+
+    def test_fit_waits_until_iteration_two_back_is_scored(self, monkeypatch):
+        """Before iteration i is fitted, every scoring task of iteration
+        i-2 has finished, so at most one earlier iteration is still being
+        scored while the next one is fitted."""
+        bundle = small_bundle()
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))), iterations=6)
+        n_cells = 4
+        lock = threading.Lock()
+        iteration_of = {}  # id of an iteration's utility labels -> iteration
+        utilities = []  # keeps those labels alive, so the ids stay unique
+        scored = collections.Counter()
+        pending_at_fit = []
+
+        def counting_fit_methods(train, utility, privacy, configs):
+            it = len(utilities)
+            with lock:
+                pending_at_fit.append(n_cells - scored[it - 2]
+                                      if it >= 2 else 0)
+            utilities.append(utility)
+            iteration_of[id(utility)] = it
+            return fit_methods(train, utility, privacy, configs)
+
+        def slow_train_eval(train, train_labels, *args):
+            time.sleep(0.02)
+            reports = train_eval(train, train_labels, *args)
+            with lock:
+                scored[iteration_of[id(train_labels[0])]] += 1
+            return reports
+
+        monkeypatch.setattr(experiment, "fit_methods", counting_fit_methods)
+        monkeypatch.setattr(experiment, "train_eval", slow_train_eval)
+        points = run_sweep(cfg, bundle, threads=2)
+        assert not any(p.failed for p in points)
+        assert pending_at_fit == [0] * cfg.iterations
+        assert scored == {it: n_cells for it in range(cfg.iterations)}
 
     def test_aggregation_matches_per_iteration_values(self):
         bundle = small_bundle()
