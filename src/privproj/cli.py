@@ -6,8 +6,7 @@ sweep (full trade-off grid), plot (re-render the chart from a sweep CSV).
 
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or input error.
 All outputs are deterministic functions of the flags and input bytes; no
-timestamps are written. The environment variable PRIVPROJ_THREADS caps
-sweep parallelism (0 = one worker per CPU).
+timestamps are written.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,18 +45,6 @@ def _parse_weights(text: str | None) -> tuple[float, ...]:
         return tuple(float(w) for w in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad --privacy-weights value {text!r}: {exc}") from exc
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("PRIVPROJ_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"PRIVPROJ_THREADS must be an integer, "
-                         f"got {raw!r}") from exc
-    if value < 0:
-        raise InputError(f"PRIVPROJ_THREADS must be >= 0, got {value}")
-    return value
 
 
 # --- preprocess ---------------------------------------------------------------
@@ -163,7 +149,7 @@ def _load_bundle(args) -> DataBundle:
 def cmd_sweep(args) -> int:
     cfg = replace(load_config(args.config), seed=args.seed)
     bundle = _load_bundle(args)
-    points = run_sweep(cfg, bundle, threads=_threads_from_env())
+    points = run_sweep(cfg, bundle)
     grid_points = [p for p in points if p.method != FULL_BASELINE]
     if grid_points and all(p.failed for p in grid_points):
         for p in grid_points:

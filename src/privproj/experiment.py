@@ -5,32 +5,25 @@ trade-off table/chart emission.
 The sweep is iteration-major: each iteration draws its subsample once, fits
 every live cell with one `fit_methods` call (each labeling's scatter and
 each distinct pencil once, all eigenproblems in one stacked solve), then
-projects the cells one at a time on the calling thread and hands only the
-scoring of the small projected tables to the worker threads, which score
-while the next iteration is fitted. At most one earlier iteration is still
-scoring when an iteration is fitted. Each projection makes a centered copy
-of its table: made on two workers at once, on top of the next fit, those
-copies raised the peak RSS of `bench/run.py --workload cli_pipeline` by
-about 4 MB, and a main thread free to run ahead queued projected tables.
+projects and scores the cells one at a time on the calling thread, so only
+one cell's projected tables are alive at a time. Scoring holds the GIL, so
+a thread pool gains no speed and only adds memory.
 
 Determinism contract: an iteration's subsample depends only on (seed,
 iteration), so every cell sees the same draws; only RANDOM fits are salted
 with (method, k, weights). Every fit is bit-identical to fitting its cell
-alone, and one failing cell leaves the other rows unchanged. With any
-number of sweep workers, a sweep reproduces its CSV byte-for-byte on the
-same numpy/BLAS build at the same BLAS thread count; on wide data BLAS
-products can change their last bits with that thread count.
+alone, and one failing cell leaves the other rows unchanged. A sweep
+reproduces its CSV byte-for-byte on the same numpy/BLAS build at the same
+BLAS thread count; on wide data BLAS products can change their last bits
+with that thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -210,38 +203,23 @@ def performance(acc_u: float, acc_p: float, beta: float) -> float:
     return acc_u + beta * (1.0 - acc_p)
 
 
-def _score(train_z: Dataset, train_labels, test_z: Dataset,
-           bundle: DataBundle, spec: ClassifierSpec):
-    """(acc_u, acc_p per task) of one cell's projected subsample and test
-    set (the raw tables for the baseline), or the PrivprojError raised. One
-    `train_eval` call scores every labeling over one neighbour search. The
-    projection is made by the caller, so a sweep worker running this holds
-    only (k x n) tables, never a table-sized centered copy."""
-    try:
-        reports = train_eval(train_z, train_labels, test_z,
-                             (bundle.test_utility, *bundle.test_privacy), spec)
-    except PrivprojError as exc:
-        return exc
-    return reports[0].accuracy, [report.accuracy for report in reports[1:]]
-
-
-def _project_and_score(pool, model, train: Dataset, train_labels,
+def _project_and_score(model, train: Dataset, train_labels,
                        bundle: DataBundle, spec: ClassifierSpec):
-    """One cell's outcome for one iteration: its scores (a Future of them
-    with a pool), or the PrivprojError its fit or projection raised. The
-    model (None: no projection) is projected onto the subsample and the
-    test set on the calling thread; the projected tables live only as long
-    as their scoring."""
+    """One cell's outcome for one iteration: (acc_u, acc_p per task), or the
+    PrivprojError its fit, projection or scoring raised. The model (None:
+    no projection) is projected onto the subsample and the test set, and
+    one `train_eval` call scores every labeling over one neighbour search."""
     if isinstance(model, PrivprojError):
         return model
     try:
         train_z, test_z = ((train, bundle.test) if model is None
                            else (project(model, train),
                                  project(model, bundle.test)))
+        reports = train_eval(train_z, train_labels, test_z,
+                             (bundle.test_utility, *bundle.test_privacy), spec)
     except PrivprojError as exc:
         return exc
-    task = (train_z, train_labels, test_z, bundle, spec)
-    return pool.submit(_score, *task) if pool else _score(*task)
+    return reports[0].accuracy, [report.accuracy for report in reports[1:]]
 
 
 def _std(values: np.ndarray) -> float:
@@ -296,55 +274,40 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
     Works one iteration at a time: draw the subsample, fit every live
     cell's projection with one `fit_methods` call (shared scatters and
     pencils, one stacked eigensolve), then project each cell onto the
-    subsample and the test set on the calling thread, one cell at a time,
-    and score it. Scoring runs on `threads` workers (threads=0 picks the
-    CPU count) while the next iteration is fitted; before fitting
-    iteration i the sweep waits until iteration i-2 has been scored, so at
-    most one earlier iteration is still scoring. Both keep the peak RSS
-    from growing with the thread count: the workers make no table-sized
-    copies, and the main thread cannot queue projected tables. Any thread
-    count produces the same result list.
+    subsample and the test set and score it, one cell at a time, all on
+    the calling thread. `threads` is ignored; it is kept only for callers
+    that still pass it.
     A failing cell yields a row with the status of its first failing
     iteration instead of aborting the run; once its failure is known, it
     is not fitted again.
     """
     cells = (None, *cfg.cells)  # None: the full-dimensional baseline
-    if threads == 0:
-        threads = min(len(cells), os.cpu_count() or 1)
     split_seed = mix(cfg.seed or 0, "subsample")
     all_labels = [bundle.train_utility, *bundle.train_privacy]
     outcomes = [[] for _ in cells]
-    scoring = deque()  # each scoring iteration's futures, oldest first
-    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
-          else contextlib.nullcontext()) as pool:
-        for it in range(cfg.iterations):
-            if len(scoring) == 2:
-                wait(scoring.popleft())
-            live = [c for c, out in enumerate(outcomes)
-                    if not any(isinstance(o, PrivprojError) for o in out)]
-            try:
-                sub_train, sub_labels = subsample(
-                    bundle.train, all_labels, split_seed, cfg.fraction, it)
-            except PrivprojError as exc:
-                for c in live:
-                    outcomes[c].append(exc)
-                continue
-            utility, privacy = sub_labels[0], tuple(sub_labels[1:])
-            fitted = [c for c in live if cells[c] is not None]
-            models = dict.fromkeys(live)
-            models.update(zip(fitted, fit_methods(
-                sub_train, utility, privacy,
-                [_salted(cells[c], cfg.seed, it) for c in fitted])))
+    for it in range(cfg.iterations):
+        live = [c for c, out in enumerate(outcomes)
+                if not any(isinstance(o, PrivprojError) for o in out)]
+        try:
+            sub_train, sub_labels = subsample(
+                bundle.train, all_labels, split_seed, cfg.fraction, it)
+        except PrivprojError as exc:
             for c in live:
-                outcomes[c].append(_project_and_score(
-                    pool, models[c], sub_train, (utility, *privacy), bundle,
-                    cfg.classifier))
-            scoring.append([outcomes[c][-1] for c in live
-                            if isinstance(outcomes[c][-1], Future)])
+                outcomes[c].append(exc)
+            continue
+        utility, privacy = sub_labels[0], tuple(sub_labels[1:])
+        fitted = [c for c in live if cells[c] is not None]
+        models = dict.fromkeys(live)
+        models.update(zip(fitted, fit_methods(
+            sub_train, utility, privacy,
+            [_salted(cells[c], cfg.seed, it) for c in fitted])))
+        for c in live:
+            outcomes[c].append(_project_and_score(
+                models[c], sub_train, (utility, *privacy), bundle,
+                cfg.classifier))
     rows = [(FULL_BASELINE, bundle.train.n_features, ()),
             *((c.method, c.k, c.privacy_weights) for c in cfg.cells)]
-    return [_point(row, [o.result() if isinstance(o, Future) else o
-                         for o in out], cfg, bundle.n_privacy)
+    return [_point(row, out, cfg, bundle.n_privacy)
             for row, out in zip(rows, outcomes)]
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import threading
 import tracemalloc
 import warnings
 from importlib import resources
@@ -414,24 +415,17 @@ class TestSweep:
         assert (a / "manifest.json").read_bytes() == \
             (b / "manifest.json").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path,
-                                                 bundle_files, capsys,
-                                                 monkeypatch):
+    def test_sweep_starts_no_thread(self, tmp_path, bundle_files, capsys,
+                                    monkeypatch):
+        def no_thread(self):
+            raise AssertionError(f"sweep started a thread: {self!r}")
+
+        monkeypatch.delenv("PRIVPROJ_THREADS", raising=False)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         config = write_config(tmp_path / "config.json", methods=[
             {"method": "PCA", "k_values": [1, 2]},
             {"method": "DCA", "k_values": [1]}])
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(sweep_args(bundle_files, config, a))
-        monkeypatch.setenv("PRIVPROJ_THREADS", "3")
-        main(sweep_args(bundle_files, config, b))
-        assert (a / "tradeoff.csv").read_bytes() == \
-            (b / "tradeoff.csv").read_bytes()
-
-    def test_bad_threads_env_exits_2(self, tmp_path, bundle_files, capsys,
-                                     monkeypatch):
-        config = write_config(tmp_path / "config.json")
-        monkeypatch.setenv("PRIVPROJ_THREADS", "lots")
-        assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 2
+        assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 0
 
     def test_seed_flag_required(self, tmp_path, bundle_files, capsys):
         config = write_config(tmp_path / "config.json")

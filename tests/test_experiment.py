@@ -1,11 +1,9 @@
 """Tests for sweep orchestration, the performance criterion, and trade-off
 table/chart emission."""
 
-import collections
 import functools
 import math
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,8 +19,7 @@ from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
                                  emit_tradeoff_curve, performance,
                                  read_tradeoff_csv, read_tradeoff_points,
                                  render_svg, run_sweep)
-from privproj.projections import (ProjectionConfig, fit_method, fit_methods,
-                                  project)
+from privproj.projections import ProjectionConfig, fit_method, project
 from privproj.seeds import mix
 from privproj.synthetic import tradeoff_bundle
 
@@ -251,41 +248,48 @@ class TestRunSweep:
         assert points[0].k == bundle.train.n_features
         assert points[0].privacy_weights == ()
 
-    def test_deterministic_across_runs_and_threads(self, tmp_path,
-                                                   monkeypatch):
-        """Any thread count gives the same points, and every projection
-        runs on the thread that called run_sweep: the workers only score."""
+    def test_deterministic_across_runs(self, tmp_path):
         bundle = small_bundle()
         cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
                                     MethodGrid("PCA", (1,))))
         a = run_sweep(cfg, bundle)
         b = run_sweep(cfg, bundle)
-        projecting = []
+        assert a == b
+        assert (csv_bytes(a, tmp_path / "a")
+                == csv_bytes(b, tmp_path / "b"))
+
+    def test_cells_project_and_score_on_the_calling_thread(self,
+                                                           monkeypatch):
+        bundle = small_bundle()
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))))
+        projecting, scoring = [], []
 
         def recording_project(model, d):
             projecting.append(threading.get_ident())
             return project(model, d)
 
-        monkeypatch.setattr(experiment, "project", recording_project)
-        c = run_sweep(cfg, bundle, threads=3)
-        d = run_sweep(cfg, bundle, threads=0)
-        e = run_sweep(cfg, bundle, threads=2)
-        assert a == b == c == d == e
-        assert (csv_bytes(e, tmp_path / "two")
-                == csv_bytes(a, tmp_path / "one"))
-        # 3 sweeps x 3 iterations x 3 projected cells x (subsample, test)
-        assert projecting == [threading.get_ident()] * 54
+        def recording_train_eval(*args):
+            scoring.append(threading.get_ident())
+            return train_eval(*args)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+        monkeypatch.setattr(experiment, "project", recording_project)
+        monkeypatch.setattr(experiment, "train_eval", recording_train_eval)
+        run_sweep(cfg, bundle)
+        # 3 iterations x 3 projected cells x (subsample, test)
+        assert projecting == [threading.get_ident()] * 18
+        # 3 iterations x (baseline + 3 cells)
+        assert scoring == [threading.get_ident()] * 12
+
     def test_failing_projection_fails_its_cell_alone(self, tmp_path,
-                                                     monkeypatch, threads):
+                                                     monkeypatch):
         """A PrivprojError from project is the outcome of that cell in that
         iteration, with the status it raised; every other row is the row
         of a sweep without the failure."""
         bundle = small_bundle(seed=4)
         cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
                                     MethodGrid("PCA", (1,))))
-        clean = run_sweep(cfg, bundle, threads=threads)
+        clean = run_sweep(cfg, bundle)
         calls = []
 
         def failing_project(model, d):
@@ -297,7 +301,7 @@ class TestRunSweep:
             return project(model, d)
 
         monkeypatch.setattr(experiment, "project", failing_project)
-        points = run_sweep(cfg, bundle, threads=threads)
+        points = run_sweep(cfg, bundle)
         assert points[2].status == (
             "failed: DimensionMismatch: injected projection failure")
         assert math.isnan(points[2].acc_u_mean)
@@ -305,43 +309,6 @@ class TestRunSweep:
         assert len(calls) == 3
         assert (csv_bytes(points[:2] + points[3:], tmp_path / "rest")
                 == csv_bytes(clean[:2] + clean[3:], tmp_path / "clean"))
-
-    def test_fit_waits_until_iteration_two_back_is_scored(self, monkeypatch):
-        """Before iteration i is fitted, every scoring task of iteration
-        i-2 has finished, so at most one earlier iteration is still being
-        scored while the next one is fitted."""
-        bundle = small_bundle()
-        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
-                                    MethodGrid("PCA", (1,))), iterations=6)
-        n_cells = 4
-        lock = threading.Lock()
-        iteration_of = {}  # id of an iteration's utility labels -> iteration
-        utilities = []  # keeps those labels alive, so the ids stay unique
-        scored = collections.Counter()
-        pending_at_fit = []
-
-        def counting_fit_methods(train, utility, privacy, configs):
-            it = len(utilities)
-            with lock:
-                pending_at_fit.append(n_cells - scored[it - 2]
-                                      if it >= 2 else 0)
-            utilities.append(utility)
-            iteration_of[id(utility)] = it
-            return fit_methods(train, utility, privacy, configs)
-
-        def slow_train_eval(train, train_labels, *args):
-            time.sleep(0.02)
-            reports = train_eval(train, train_labels, *args)
-            with lock:
-                scored[iteration_of[id(train_labels[0])]] += 1
-            return reports
-
-        monkeypatch.setattr(experiment, "fit_methods", counting_fit_methods)
-        monkeypatch.setattr(experiment, "train_eval", slow_train_eval)
-        points = run_sweep(cfg, bundle, threads=2)
-        assert not any(p.failed for p in points)
-        assert pending_at_fit == [0] * cfg.iterations
-        assert scored == {it: n_cells for it in range(cfg.iterations)}
 
     def test_aggregation_matches_per_iteration_values(self):
         bundle = small_bundle()
@@ -396,12 +363,11 @@ class TestRunSweep:
         assert math.isnan(bad.acc_u_mean)
         assert all(math.isnan(v) for v in bad.performance.values())
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("make_bundle, scored", [
         (functools.partial(small_bundle, seed=3, m=6), "first"),
         (bits_bundle, "max")])
-    def test_csv_bytes_match_per_cell_reference(self, tmp_path, threads,
-                                                make_bundle, scored):
+    def test_csv_bytes_match_per_cell_reference(self, tmp_path, make_bundle,
+                                                scored):
         """The iteration-major sweep (shared scatters and pencils, one
         stacked eigensolve per iteration) writes the CSV bytes of fitting
         and scoring every cell alone."""
@@ -415,13 +381,12 @@ class TestRunSweep:
                                  (16.0,) + (0.0,) * (n_privacy - 1))),
                      MethodGrid("RANDOM", (2,))),
             iterations=3, betas=(0.5, 1.0), scored_privacy=scored)
-        got = csv_bytes(run_sweep(cfg, bundle, threads=threads),
+        got = csv_bytes(run_sweep(cfg, bundle),
                         tmp_path / "sweep")
         assert got == csv_bytes(reference_sweep(cfg, bundle),
                                 tmp_path / "reference")
         assert b"failed" not in got
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bad_grid, max_sweeps, status", [
         (MethodGrid("DCA", (9,)), None,
          "failed: InvalidK: k=9 out of range for dim 5"),
@@ -431,8 +396,7 @@ class TestRunSweep:
          "failed: NoConvergence: Jacobi did not converge in 2 sweeps (dim 5)"),
     ])
     def test_failing_cell_leaves_other_rows_unchanged(
-            self, tmp_path, monkeypatch, threads, bad_grid, max_sweeps,
-            status):
+            self, tmp_path, monkeypatch, bad_grid, max_sweeps, status):
         """A stack spans cells, so one failing cell must fail alone, with
         the status a per-cell fit gives, and leave every other row as a
         sweep without that cell writes it."""
@@ -442,13 +406,13 @@ class TestRunSweep:
         bundle = small_bundle(seed=2)
         good = (MethodGrid("MDR", (1,)),)
         cfg = small_config(methods=(bad_grid, *good))
-        points = run_sweep(cfg, bundle, threads=threads)
+        points = run_sweep(cfg, bundle)
         bad = points[1]
         assert bad.status == status
         assert bad.status == reference_point(bundle, bad.method, bad.k,
                                              bad.privacy_weights, cfg).status
         rest = [p for i, p in enumerate(points) if i != 1]
-        alone = run_sweep(small_config(methods=good), bundle, threads=threads)
+        alone = run_sweep(small_config(methods=good), bundle)
         assert not any(p.failed for p in alone)
         assert (csv_bytes(rest, tmp_path / "rest")
                 == csv_bytes(alone, tmp_path / "alone"))
@@ -459,7 +423,7 @@ class TestRunSweep:
         bundle = small_bundle(seed=2)
         cfg = small_config(methods=(MethodGrid("MDR", (1, 2)),
                                     MethodGrid("DCA", (1,))), rho=1e-300)
-        points = run_sweep(cfg, bundle, threads=2)
+        points = run_sweep(cfg, bundle)
         for bad in points[1:3]:
             assert bad.status.startswith(
                 "failed: NotPositiveDefinite: pivot ")
