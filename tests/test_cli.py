@@ -427,6 +427,22 @@ class TestSweep:
             {"method": "DCA", "k_values": [1]}])
         assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("value", ["1", "3", "lots"])
+    def test_threads_env_is_ignored(self, tmp_path, bundle_files, capsys,
+                                    monkeypatch, value):
+        """A PRIVPROJ_THREADS left in the environment, even one that is
+        not a number, neither fails the sweep nor changes its output."""
+        config = write_config(tmp_path / "config.json", methods=[
+            {"method": "PCA", "k_values": [1, 2]},
+            {"method": "DCA", "k_values": [1]}])
+        a, b = tmp_path / "a", tmp_path / "b"
+        monkeypatch.delenv("PRIVPROJ_THREADS", raising=False)
+        assert main(sweep_args(bundle_files, config, a)) == 0
+        monkeypatch.setenv("PRIVPROJ_THREADS", value)
+        assert main(sweep_args(bundle_files, config, b)) == 0
+        for name in ("tradeoff.csv", "tradeoff.svg", "manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_seed_flag_required(self, tmp_path, bundle_files, capsys):
         config = write_config(tmp_path / "config.json")
         args = sweep_args(bundle_files, config, tmp_path / "out")

@@ -19,7 +19,8 @@ from privproj.experiment import (FULL_BASELINE, DataBundle, ExperimentConfig,
                                  emit_tradeoff_curve, performance,
                                  read_tradeoff_csv, read_tradeoff_points,
                                  render_svg, run_sweep)
-from privproj.projections import ProjectionConfig, fit_method, project
+from privproj.projections import (ProjectionConfig, fit_method, fit_methods,
+                                  project)
 from privproj.seeds import mix
 from privproj.synthetic import tradeoff_bundle
 
@@ -280,6 +281,44 @@ class TestRunSweep:
         assert projecting == [threading.get_ident()] * 18
         # 3 iterations x (baseline + 3 cells)
         assert scoring == [threading.get_ident()] * 12
+
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    def test_threads_keyword_is_ignored(self, monkeypatch, threads):
+        """`threads` stays for callers that still pass it: any value gives
+        the points of a sweep without it, and starts no thread."""
+        bundle = small_bundle()
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))))
+        expected = run_sweep(cfg, bundle)
+
+        def no_thread(self):
+            raise AssertionError(f"sweep started a thread: {self!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_sweep(cfg, bundle, threads=threads) == expected
+
+    def test_each_iteration_is_scored_before_the_next_is_fitted(
+            self, monkeypatch):
+        """Cells run in order: an iteration's one fit, then the scoring of
+        the baseline and every cell, before the next iteration's fit."""
+        bundle = small_bundle()
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))), iterations=4)
+        events = []
+
+        def recording_fit_methods(*args):
+            events.append("fit")
+            return fit_methods(*args)
+
+        def recording_train_eval(*args):
+            events.append("score")
+            return train_eval(*args)
+
+        monkeypatch.setattr(experiment, "fit_methods", recording_fit_methods)
+        monkeypatch.setattr(experiment, "train_eval", recording_train_eval)
+        points = run_sweep(cfg, bundle)
+        assert not any(p.failed for p in points)
+        assert events == (["fit"] + ["score"] * 4) * cfg.iterations
 
     def test_failing_projection_fails_its_cell_alone(self, tmp_path,
                                                      monkeypatch):
