@@ -286,10 +286,9 @@ def _neighbors(x_train: np.ndarray, x_test: np.ndarray, k: int) -> np.ndarray:
 
 
 def _vote(neighbors: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
-    counts = np.zeros((c, neighbors.shape[1]), dtype=np.int64)
-    cols = np.arange(neighbors.shape[1])
-    for row in labels[neighbors]:
-        counts[row, cols] += 1
+    n = neighbors.shape[1]
+    counts = np.bincount((labels[neighbors] * n + np.arange(n)).ravel(),
+                         minlength=c * n).reshape(c, n)
     # argmax returns the first maximum: vote ties go to the smallest class.
     return np.argmax(counts, axis=0)
 
@@ -310,8 +309,8 @@ def _check_labeling(train: Dataset, train_labels: LabelSet, test: Dataset,
 
 def _report(test_labels: LabelSet, predictions: np.ndarray) -> AccuracyReport:
     c, n_test = test_labels.class_count, test_labels.n_samples
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (test_labels.labels, predictions), 1)
+    confusion = np.bincount(test_labels.labels * c + predictions,
+                            minlength=c * c).reshape(c, c)
     return AccuracyReport(accuracy=float(np.trace(confusion) / n_test),
                           confusion=confusion, n_test=n_test)
 

@@ -73,7 +73,8 @@ class NoConvergence(NumericalError):
 
 
 class RankDeficient(NumericalError):
-    """Gram-Schmidt hit a numerically zero column."""
+    """Orthonormalization (QR) found a column numerically dependent on the
+    columns before it."""
 
 
 class InvalidK(InputError):

@@ -1,7 +1,10 @@
 """Dense symmetric linear algebra: Cholesky, Jacobi eigensolver, pencils.
 
-Self-contained solvers sized for feature dimensions up to a few hundred.
-The eigensolver is cyclic Jacobi under a round-robin rotation ordering;
+Self-contained solvers. The eigensolver is cyclic Jacobi, whose time grows
+steeply with the dimension: on 2 vCPUs one matrix takes about 11-17 ms at
+m = 29, 3 s at m = 200 and 141 s at m = 561. Outside this module only the
+stacked pencil solve (`projections._solve_stacked`), whose bits the
+benchmark digests pin, calls it. Jacobi runs a round-robin ordering;
 rotations within a round touch disjoint index pairs, so each round is
 applied as one vectorized block. `sym_eig` takes one matrix or a (B, m, m)
 stack, the form `np.linalg.eigh` takes: each round is applied to every
@@ -10,7 +13,7 @@ converged, and a rotation whose pivot entry is exactly zero is skipped in
 that matrix alone. Every entry of every matrix therefore goes through the
 same IEEE operations as when it is solved alone, so a stacked solve is
 bit-identical to one solve per matrix. A single matrix is a stack of one.
-Every projection method in the package reduces to the symmetric-definite
+PCA and every discriminant method reduce to the symmetric-definite
 generalized eigenproblem solved here.
 
 All tolerances are relative to the max-norm (largest absolute entry) of the

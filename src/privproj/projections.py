@@ -41,7 +41,7 @@ from .seeds import rng_from
 __all__ = [
     "METHODS", "ProjectionConfig", "ProjectionModel",
     "fit_random", "fit_method", "fit_methods",
-    "project", "subspace_angle", "modified_gram_schmidt",
+    "project", "subspace_angle",
     "model_to_json", "model_from_json", "save_model", "load_model",
 ]
 
@@ -51,7 +51,8 @@ METHODS = ("PCA", "DCA", "MDR", "RUCA", "RANDOM")
 RHO_SCALE = 1e-6
 #: rho_prime defaults to this multiple of trace(s_bu)/m.
 RHO_PRIME_SCALE = 1e-8
-#: Gram-Schmidt column-norm floor below which input is declared rank deficient.
+#: Floor on |R_jj| of a QR factorization (the norm of column j after the
+#: earlier columns are projected out) below which input is rank deficient.
 GS_PIVOT_TOL = 1e-10
 #: Reseed attempts for random projections before giving up.
 RANDOM_RETRIES = 3
@@ -194,8 +195,8 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
     `compute_scatter`, with its checks), PCA's total scatter, and each
     distinct discriminant pencil (s_bu + rho'·I, denominator + rho·I) with
     its Cholesky reduction; a PrivprojError is raised again for each config
-    that needs the failing work. One stacked `linalg.sym_eig` call then
-    solves every eigenproblem, and each config takes its own top k. The
+    that needs the failing work. One stacked eigensolve (`_solve_stacked`)
+    then solves every eigenproblem, and each config takes its own top k. The
     pencil denominator follows cfg.method: MDR takes the first privacy
     between-class scatter; DCA and RUCA take s_bar plus w_p·s_bp_p for each
     non-zero weight (only a RUCA config has any), so a zero-weight RUCA fit
@@ -281,21 +282,24 @@ def fit_methods(d: Dataset, utility: LabelSet | None,
     return results
 
 
-def modified_gram_schmidt(w: np.ndarray) -> np.ndarray:
-    """Column orthonormalization with a second reorthogonalization pass."""
-    q = np.array(w, dtype=np.float64)
-    if q.ndim != 2:
-        raise InputError("expected a 2-d matrix")
-    for j in range(q.shape[1]):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = float(np.linalg.norm(q[:, j]))
-        if norm < GS_PIVOT_TOL:
-            raise RankDeficient(f"column {j} collapsed during orthonormalization "
-                                f"(norm {norm:g} < {GS_PIVOT_TOL:g})")
-        q[:, j] /= norm
-    return q
+def _orthonormal_columns(w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns by Householder QR, oriented as Gram-Schmidt's: the
+    first j+1 columns span what w's first j+1 columns span, and column j has
+    a positive inner product with w's column j."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] < 1 or not np.isfinite(w).all():
+        raise InputError("expected a finite 2-d matrix with a column or more")
+    m, k = w.shape
+    if k > m:
+        raise RankDeficient(f"column {m} collapsed during orthonormalization "
+                            f"({k} columns in dimension {m})")
+    q, r = np.linalg.qr(w)
+    pivots = np.diagonal(r)
+    j = int(np.argmax(np.abs(pivots) < GS_PIVOT_TOL))
+    if abs(pivots[j]) < GS_PIVOT_TOL:
+        raise RankDeficient(f"column {j} collapsed during orthonormalization "
+                            f"(norm {abs(pivots[j]):g} < {GS_PIVOT_TOL:g})")
+    return q * np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def fit_random(m: int, cfg: ProjectionConfig) -> ProjectionModel:
@@ -313,7 +317,7 @@ def fit_random(m: int, cfg: ProjectionConfig) -> ProjectionModel:
         rng = rng_from(cfg.seed, "random-projection", attempt)
         draw = rng.standard_normal((m, cfg.k))
         try:
-            w = modified_gram_schmidt(draw)
+            w = _orthonormal_columns(draw)
         except RankDeficient as exc:
             last_error = exc
             continue
@@ -366,15 +370,14 @@ def subspace_angle(w1: np.ndarray, w2: np.ndarray) -> float:
     if w1.ndim != 2 or w2.ndim != 2 or w1.shape != w2.shape:
         raise DimensionMismatch(
             f"expected matching 2-d shapes, got {w1.shape} and {w2.shape}")
-    q1 = modified_gram_schmidt(w1)
-    q2 = modified_gram_schmidt(w2)
+    q1 = _orthonormal_columns(w1)
+    q2 = _orthonormal_columns(w2)
     c = q1.T @ q2
-    cos_sq = float(linalg.sym_eig(linalg.symmetrize(c.T @ c)).values[-1])
-    if cos_sq <= 0.5:
-        return math.acos(math.sqrt(max(cos_sq, 0.0)))
-    residual = q2 - q1 @ c
-    sin_sq = float(linalg.sym_eig(linalg.symmetrize(residual.T @ residual)).values[0])
-    return math.asin(min(math.sqrt(max(sin_sq, 0.0)), 1.0))
+    cos = float(np.linalg.svd(c, compute_uv=False)[-1])
+    if cos * cos <= 0.5:
+        return math.acos(cos)
+    sin = float(np.linalg.norm(q2 - q1 @ c, 2))
+    return math.asin(min(sin, 1.0))
 
 
 # --- serialization ---------------------------------------------------------

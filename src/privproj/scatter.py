@@ -29,13 +29,10 @@ from . import linalg
 from .data import Dataset, LabelSet
 from .errors import InputError, LengthMismatch
 
-__all__ = ["ScatterSet", "compute_scatter", "rank_bound_check"]
+__all__ = ["ScatterSet", "compute_scatter"]
 
 #: Relative tolerance for the s_bar == s_b + s_w identity.
 ADDITIVITY_RTOL = 1e-9
-
-#: Relative eigenvalue floor used when counting the numerical rank of s_b.
-RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,12 +95,3 @@ def compute_scatter(d: Dataset, l: LabelSet) -> ScatterSet:
 
     return ScatterSet(s_bar=s_bar, s_b=s_b, s_w=s_w, mean=mean)
 
-
-def rank_bound_check(s: ScatterSet) -> int:
-    """Numerical rank of the between-class scatter (eigenvalues above a
-    dimension-scaled floor). Always at most the class count minus one."""
-    norm = linalg.max_norm(s.s_b)
-    if norm == 0.0:
-        return 0
-    values = linalg.sym_eig(s.s_b).values
-    return int(np.count_nonzero(values > s.mean.shape[0] * RANK_RTOL * norm))

@@ -141,6 +141,31 @@ def confusion_of(test_labels, predictions):
     return confusion
 
 
+def vote_loop(neighbors, labels, c):
+    """Votes counted one neighbour rank (row) at a time, then the first
+    maximum of each column."""
+    counts = np.zeros((c, neighbors.shape[1]), dtype=np.int64)
+    cols = np.arange(neighbors.shape[1])
+    for row in labels[neighbors]:
+        counts[row, cols] += 1
+    return np.argmax(counts, axis=0)
+
+
+def split_votes(seed, c, n_train=60, n_test=400, k=5):
+    """(neighbors, train labels): the k = 5 neighbours of every other test
+    point split their votes 2-2-1 over three random classes, in random rank
+    order; the rest are random neighbour sets."""
+    rng = np.random.default_rng(seed)
+    labels = class_assignment(rng, n_train, c)
+    neighbors = rng.integers(0, n_train, size=(k, n_test))
+    by_class = [np.flatnonzero(labels == j) for j in range(c)]
+    for t in range(0, n_test, 2):
+        a, b, d = rng.choice(c, 3, replace=False)
+        picks = [rng.choice(by_class[j], n) for j, n in ((a, 2), (b, 2), (d, 1))]
+        neighbors[:, t] = rng.permutation(np.concatenate(picks))
+    return neighbors, labels
+
+
 class TestSpecs:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
@@ -159,6 +184,26 @@ class TestSpecs:
         with pytest.raises(InputError):
             AccuracyReport(accuracy=0.5, confusion=np.array([[2, 0], [0, 2]]),
                            n_test=4)
+
+
+class TestVoteAndConfusion:
+    """The bincount forms of `_vote` and `_report` against the loop forms."""
+
+    @pytest.mark.parametrize("c", [3, 4, 7])
+    def test_split_votes_match_the_loop_forms(self, c):
+        neighbors, labels = split_votes(c, c)
+        got = classify._vote(neighbors, labels, c)
+        assert np.array_equal(got, vote_loop(neighbors, labels, c))
+        assert np.array_equal(got, vote_reference(neighbors, labels, c))
+        # A 2-2-1 split goes to the smaller of the two classes with 2 votes.
+        counts = np.stack([np.bincount(labels[col], minlength=c)
+                           for col in neighbors[:, ::2].T])
+        assert np.all(np.sort(counts, axis=1)[:, -2:] == 2)
+        assert np.array_equal(got[::2], np.argmax(counts == 2, axis=1))
+        truth = LabelSet(np.random.default_rng(c).integers(0, c, got.size), c)
+        report = classify._report(truth, got)
+        assert np.array_equal(report.confusion, confusion_of(truth, got))
+        assert report.confusion.dtype == np.int64
 
 
 class TestKnn:

@@ -13,8 +13,7 @@ from privproj.projections import (ProjectionConfig, ProjectionModel,
                                   fit_method, fit_methods, fit_random,
                                   load_model,
                                   model_from_json, model_to_json,
-                                  modified_gram_schmidt, project, save_model,
-                                  subspace_angle)
+                                  project, save_model, subspace_angle)
 from privproj.scatter import compute_scatter
 
 
@@ -254,6 +253,85 @@ class TestPca:
         np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-10, atol=1e-8)
 
 
+def gram_schmidt_reference(w):
+    """Modified Gram-Schmidt with a second reorthogonalization pass, column
+    by column: the orthonormal columns, or None when a column's norm falls
+    below GS_PIVOT_TOL after the earlier columns are projected out."""
+    q = np.array(w, dtype=np.float64)
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            for i in range(j):
+                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
+        norm = float(np.linalg.norm(q[:, j]))
+        if norm < projections.GS_PIVOT_TOL:
+            return None
+        q[:, j] /= norm
+    return q
+
+
+def orthonormalization_draws(kind, seed, count=40):
+    """(m, k) draws: Gaussian columns; 0/1 columns like the bit-encoded
+    census features, every other draw at m < 8 so that repeated and zero
+    columns occur; or Gaussian columns (k >= 2) whose last is the first plus
+    noise of scale 1e-7 (independent) or 1e-12 (dependent at GS_PIVOT_TOL)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = int(rng.integers(2, 8 if kind == "bits" and i % 2 else 60))
+        k = int(rng.integers(1, m + 1))
+        if kind == "bits":
+            yield rng.integers(0, 2, size=(m, k)).astype(float)
+        elif kind == "gaussian":
+            yield rng.standard_normal((m, k))
+        else:
+            w = rng.standard_normal((m, max(k, 2)))
+            scale = 1e-7 if i % 2 else 1e-12
+            w[:, -1] = w[:, 0] + scale * rng.standard_normal(m)
+            yield w
+
+
+class TestOrthonormalColumns:
+    """`_orthonormal_columns` (Householder QR) against Gram-Schmidt."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bits", "nearly_dependent"])
+    def test_matches_gram_schmidt(self, kind):
+        outcomes = set()
+        for w in orthonormalization_draws(kind, seed=len(kind)):
+            want = gram_schmidt_reference(w)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(RankDeficient, match="collapsed"):
+                    projections._orthonormal_columns(w)
+                continue
+            got = projections._orthonormal_columns(w)
+            assert linalg.max_norm(got.T @ got - np.eye(w.shape[1])) < 1e-12
+            assert np.all(np.einsum("ij,ij->j", got, w) > 0)
+            if kind == "nearly_dependent":
+                # Only the last column is ill-determined (to about eps/1e-7):
+                # the others must agree, and both bases must hold w.
+                assert subspace_angle(got[:, :-1], want[:, :-1]) < 1e-12
+                for q in (got, want):
+                    residual = w - q @ (q.T @ w)
+                    assert linalg.max_norm(residual) < 1e-13 * linalg.max_norm(w)
+            else:
+                assert subspace_angle(got, want) < 1e-12
+        if kind != "gaussian":
+            assert outcomes == {True, False}
+
+    def test_more_columns_than_dimension(self):
+        with pytest.raises(RankDeficient, match="column 2 collapsed"):
+            projections._orthonormal_columns(np.eye(2, 3))
+        with pytest.raises(RankDeficient):
+            subspace_angle(np.eye(2, 3), np.eye(2, 3))
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((3, 0)),
+                                     np.array([[1.0], [math.nan]])])
+    def test_rejects_non_matrices(self, bad):
+        with pytest.raises(InputError):
+            projections._orthonormal_columns(bad)
+        with pytest.raises(InputError):
+            subspace_angle(bad, bad)
+
+
 class TestRandomProjection:
     def test_same_seed_identical(self):
         cfg = ProjectionConfig(method="RANDOM", k=3, seed=42)
@@ -275,8 +353,21 @@ class TestRandomProjection:
             fit_random(4, ProjectionConfig(method="RANDOM", k=2))
 
     def test_gram_schmidt_rank_deficiency(self):
-        with pytest.raises(RankDeficient):
-            modified_gram_schmidt(np.ones((4, 2)))
+        with pytest.raises(RankDeficient, match="column 1 collapsed"):
+            projections._orthonormal_columns(np.ones((4, 2)))
+
+    def test_rank_deficient_draws_raise(self, monkeypatch):
+        class Repeating:
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        monkeypatch.setattr(projections, "rng_from", lambda *key: Repeating())
+        with pytest.raises(RankDeficient, match="after 4 draws"):
+            fit_random(5, ProjectionConfig(method="RANDOM", k=2, seed=3))
+
+    def test_orthonormal_at_har_width(self):
+        model = fit_random(561, ProjectionConfig(method="RANDOM", k=50, seed=5))
+        assert linalg.max_norm(model.w.T @ model.w - np.eye(50)) < 1e-12
 
 
 class TestProject:
@@ -344,6 +435,16 @@ class TestSubspaceAngle:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_angle(np.eye(3), np.eye(2))
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 0.3, 0.7, 0.9, 1.2])
+    def test_rotation_angle_comes_back(self, theta):
+        # Column 1 turns by theta towards a direction outside both spans;
+        # 1e-9 is far below what the cosine form alone resolves.
+        q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((5, 3)))
+        turned = q[:, :2].copy()
+        turned[:, 1] = math.cos(theta) * q[:, 1] + math.sin(theta) * q[:, 2]
+        tol = 1e-15 if theta < 1e-3 else 1e-14
+        assert abs(subspace_angle(q[:, :2], turned) - theta) < tol
 
 
 class TestDeterminismAndSerialization:
