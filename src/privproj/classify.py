@@ -22,11 +22,10 @@ strictly closer than the k-th smallest distance, then samples at exactly
 that distance, lowest training index first. Distances are the explicit
 (train - test)^2 sums over features of `_sq_distances`. Each search only
 collects candidates, a superset of that set, and `_first_k` keeps the first
-k by (distance, training index). One size rule picks the search:
+k by (distance, training index). The data's shape alone picks KNN's
+search, at any training size (README "Classifiers" times both searches
+against the dense one below 64 training points):
 
-  dense   fewer than FAST_MIN_TRAIN training samples (so nearest-centroid
-          always): the whole (n_train, n_chunk) block; the entries at or
-          below the k-th distance (`np.partition`), or `argmin` when k=1.
   window  1-D data: training values sorted once; the 2k sorted values
           around a test point's `searchsorted` position give its k-th
           distance E, and every value within a proven radius of sqrt(E).
@@ -34,6 +33,11 @@ k by (distance, training index). One size rule picks the search:
           on data centred on the training mean, with a proven bound on its
           distance from the explicit sums: every pair the bound cannot
           exclude.
+
+The dense search takes the whole (n_train, n_chunk) block and its entries
+at or below the k-th distance (`np.partition`, or `argmin` when k=1). It
+serves nearest-centroid, a Gram chunk whose distances may overflow, and the
+tests as their reference.
 
 BLAS only chooses candidates and never decides a distance or a tie, so
 neighbour sets are the same on any BLAS build and at any thread count. Test
@@ -67,13 +71,6 @@ DISTANCE_BLOCK = 1 << 18
 #: temporary of this size, and `np.partition` copies one slice at a time to
 #: find the k-th distances, so a search peaks at one block plus one slice.
 PARTITION_SLICE = 1 << 14
-#: Training sets at least this large take a fast path (1-D: the sorted
-#: window; wider: the Gram filter); smaller ones the dense block. Measured
-#: crossovers (2 vCPUs, 2030 test points): the window wins from about 32
-#: (k=5) and 40 (k=1); the Gram filter from below 8 (m=29, k=5), 16 (m=2,
-#: k=5) and 24 (m=29, k=1), while at m=2, k=1 the dense `argmin` stays
-#: faster up to 720. Nearest-centroid (one point per class) stays dense.
-FAST_MIN_TRAIN = 64
 
 
 @dataclass(frozen=True)
@@ -278,8 +275,6 @@ def _gram_neighbors(x_train: np.ndarray, x_test: np.ndarray,
 def _neighbors(x_train: np.ndarray, x_test: np.ndarray, k: int) -> np.ndarray:
     """(k, n_test) training indices of the k nearest neighbours of each test
     point (columns of x_test), ascending. Every path returns the same set."""
-    if x_train.shape[1] < FAST_MIN_TRAIN:
-        return _dense_neighbors(x_train, x_test, k)
     if x_train.shape[0] == 1:
         return _window_neighbors(x_train, x_test, k)
     return _gram_neighbors(x_train, x_test, k)
@@ -349,6 +344,6 @@ def train_eval(train: Dataset, train_labels: Sequence[LabelSet], test: Dataset,
     else:
         # Training sample j is the mean of class j, so the nearest index is
         # the predicted class and both tie rules pick the smallest class.
-        predictions = [_neighbors(class_means(train, tl), test.x, 1)[0]
+        predictions = [_dense_neighbors(class_means(train, tl), test.x, 1)[0]
                        for tl in train_labels]
     return tuple(_report(sl, p) for sl, p in zip(test_labels, predictions))

@@ -13,6 +13,8 @@ converged, and a rotation whose pivot entry is exactly zero is skipped in
 that matrix alone. Every entry of every matrix therefore goes through the
 same IEEE operations as when it is solved alone, so a stacked solve is
 bit-identical to one solve per matrix. A single matrix is a stack of one.
+The sweep cap is the module constant MAX_SWEEPS, so `sym_eig(a)` takes
+the arguments `np.linalg.eigh` takes.
 PCA and every discriminant method reduce to the symmetric-definite
 generalized eigenproblem solved here.
 
@@ -193,14 +195,14 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def sym_eig(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> EigenPairs:
+def sym_eig(a: np.ndarray) -> EigenPairs:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
 
     `a` is one (m, m) matrix or a (B, m, m) stack; for a stack the result
     holds (B, m) values and (B, m, m) vectors, each matrix's pairs
     bit-identical to solving it alone. A matrix has converged when its
     largest off-diagonal magnitude is at most 1e-14 * its max_norm; raises
-    NoConvergence when any matrix needs more than `max_sweeps` full sweeps.
+    NoConvergence when any matrix needs more than MAX_SWEEPS full sweeps.
     """
     a = np.asarray(a, dtype=float)
     single = a.ndim != 3
@@ -217,8 +219,8 @@ def sym_eig(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> EigenPairs:
         live = live[_max_offdiag(work[live, :n]) > tol[live]]
         if not live.size:
             break
-        if sweeps >= max_sweeps:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps (dim {n})")
+        if sweeps >= MAX_SWEEPS:
+            raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps (dim {n})")
         block = work[live]
         for ps, qs in rounds:
             _apply_round(block, ps, qs)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from privproj.data import Dataset, LabelSet
+from privproj.errors import NoConvergence
 
 
 def class_assignment(rng, n, c):
@@ -33,3 +34,16 @@ def separated_instance(seed, m=8, n=120, c_u=2, c_p=3, sep_u=6.0, sep_p=4.0,
     p_means = sep_p * rng.standard_normal((m, c_p))
     x = u_means[:, u_labels] + p_means[:, p_labels] + noise * rng.standard_normal((m, n))
     return Dataset(x), LabelSet(u_labels, c_u), LabelSet(p_labels, c_p)
+
+
+def failing_solver(solve, poisoned):
+    """A stand-in for `linalg.sym_eig`: it raises NoConvergence for a matrix,
+    or a stack holding a matrix, equal to one in the list `poisoned`, and
+    `solve` solves every other call. The list may grow while it is in use."""
+    def sym_eig(a):
+        members = np.reshape(a, (-1, *np.shape(a)[-2:]))
+        if any(np.array_equal(member, bad)
+               for member in members for bad in poisoned):
+            raise NoConvergence("stand-in solver failed")
+        return solve(a)
+    return sym_eig

@@ -166,6 +166,26 @@ def split_votes(seed, c, n_train=60, n_test=400, k=5):
     return neighbors, labels
 
 
+def searches_taken(train, tl, test, sl, spec):
+    """Names of the neighbour searches `train_eval` calls, in call order."""
+    taken = []
+
+    def spy(name):
+        search = getattr(classify, name)
+
+        def recorded(*args):
+            taken.append(name)
+            return search(*args)
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_dense_neighbors", "_window_neighbors",
+                     "_gram_neighbors"):
+            mp.setattr(classify, name, spy(name))
+        train_eval(train, (tl,), test, (sl,), spec)
+    return taken
+
+
 class TestSpecs:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
@@ -294,8 +314,8 @@ class TestNeighborSelection:
     @settings(max_examples=60, deadline=None)
     def test_fast_path_matches_stable_argsort(self, search, m, seed, k,
                                               problem, chunk_columns):
-        # The dispatch rule sends these small problems to the dense block,
-        # so the fast paths are called directly.
+        # Each search is called directly, so the Gram filter is checked on
+        # 1-D data too, which `_neighbors` sends to the window.
         train, _, test, _ = problem(seed) if m is None else problem(seed, m=m)
         with pytest.MonkeyPatch.context() as mp:
             if chunk_columns is not None:
@@ -450,6 +470,32 @@ class TestNeighborSelection:
                     report.confusion,
                     confusion_of(sl, np.full(sl.n_samples, majority)))
 
+    @pytest.mark.parametrize("problem", [generic_problem, tie_problem,
+                                         bits_problem, rank_deficient_problem])
+    def test_generators_reach_the_fast_paths(self, problem):
+        # Guards the inputs above: at their 30-60 training points KNN takes
+        # the window on 1-D variants and the Gram filter at the generators'
+        # own widths, so the checks above cover the searches these sizes
+        # take, not the dense reference alone.
+        spec = ClassifierSpec("KNN", 5)
+        assert searches_taken(*problem(0, m=1), spec) == ["_window_neighbors"]
+        assert searches_taken(*problem(0), spec) == ["_gram_neighbors"]
+
+    def test_two_features_k1_ties_match_stable_argsort(self):
+        # 2-D small-integer data at 12-60 training points: the Gram filter
+        # with k = 1 must keep the lowest index of every tied nearest run.
+        tied = 0
+        for seed in range(10):
+            for n_pairs in (2, 5, 10):
+                train, _, test, _ = tie_problem(seed, n_pairs=n_pairs)
+                got = classify._neighbors(train.x, test.x, 1)
+                assert np.array_equal(got,
+                                      argsort_neighbors(train.x, test.x, 1))
+                dist = classify._sq_distances(train.x, test.x)
+                tied += int(np.sum(np.count_nonzero(dist == dist.min(axis=0),
+                                                    axis=0) > 1))
+        assert tied > 0
+
     def test_tie_heavy_problems_straddle_the_kth_distance(self):
         # Guards the inputs above: they must reach the lowest-index fill.
         for problem in (tie_problem, bits_problem, rank_deficient_problem):
@@ -463,43 +509,27 @@ class TestNeighborSelection:
 
 
 class TestDispatch:
-    @staticmethod
-    def searches_taken(train, tl, test, sl, spec):
-        taken = []
-
-        def spy(name):
-            search = getattr(classify, name)
-
-            def recorded(*args):
-                taken.append(name)
-                return search(*args)
-            return recorded
-
-        with pytest.MonkeyPatch.context() as mp:
-            for name in ("_dense_neighbors", "_window_neighbors",
-                         "_gram_neighbors"):
-                mp.setattr(classify, name, spy(name))
-            train_eval(train, (tl,), test, (sl,), spec)
-        return taken
-
     @pytest.mark.parametrize("m, search", [(1, "_window_neighbors"),
                                            (29, "_gram_neighbors")])
     def test_census_sized_knn_takes_a_fast_path(self, m, search):
         # The census sweep scores 360 training points, 1-D projections and
         # the 29-feature baseline.
         problem = generic_problem(0, m=m, n_train=360, n_test=50)
-        assert self.searches_taken(*problem, ClassifierSpec("KNN", 5)) == [search]
+        assert searches_taken(*problem, ClassifierSpec("KNN", 5)) == [search]
 
     @pytest.mark.parametrize("m", [1, 29])
     def test_nearest_centroid_stays_dense(self, m):
         problem = generic_problem(0, m=m, n_train=360, n_test=50, c=7)
-        taken = self.searches_taken(*problem, ClassifierSpec("NEAREST_CENTROID"))
+        taken = searches_taken(*problem, ClassifierSpec("NEAREST_CENTROID"))
         assert taken == ["_dense_neighbors"]
 
-    def test_small_training_sets_stay_dense(self):
-        problem = generic_problem(0, m=29, n_train=classify.FAST_MIN_TRAIN - 1)
-        taken = self.searches_taken(*problem, ClassifierSpec("KNN", 5))
-        assert taken == ["_dense_neighbors"]
+    @pytest.mark.parametrize("m, search", [(1, "_window_neighbors"),
+                                           (29, "_gram_neighbors")])
+    @pytest.mark.parametrize("n_train", [5, 9, 63])
+    def test_small_training_sets_take_a_fast_path(self, m, search, n_train):
+        # The shape alone picks the search, down to n_train = k.
+        problem = generic_problem(0, m=m, n_train=n_train)
+        assert searches_taken(*problem, ClassifierSpec("KNN", 5)) == [search]
 
 
 class TestMultiLabeling:

@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from privproj import experiment, linalg
+from conftest import failing_solver
+from privproj import experiment, linalg, projections
 from privproj.classify import ClassifierSpec, train_eval
 from privproj.data import Dataset, LabelSet
 from privproj.dataio import subsample
@@ -426,22 +427,32 @@ class TestRunSweep:
                                 tmp_path / "reference")
         assert b"failed" not in got
 
-    @pytest.mark.parametrize("bad_grid, max_sweeps, status", [
-        (MethodGrid("DCA", (9,)), None,
+    @pytest.mark.parametrize("bad_grid, fail_pca_solve, status", [
+        (MethodGrid("DCA", (9,)), False,
          "failed: InvalidK: k=9 out of range for dim 5"),
-        (MethodGrid("PCA", (6,)), None,
+        (MethodGrid("PCA", (6,)), False,
          "failed: InvalidK: k=6 out of range 1..5"),
-        (MethodGrid("PCA", (1,)), 2,
-         "failed: NoConvergence: Jacobi did not converge in 2 sweeps (dim 5)"),
+        (MethodGrid("PCA", (1,)), True,
+         "failed: NoConvergence: stand-in solver failed"),
     ])
     def test_failing_cell_leaves_other_rows_unchanged(
-            self, tmp_path, monkeypatch, bad_grid, max_sweeps, status):
+            self, tmp_path, monkeypatch, bad_grid, fail_pca_solve, status):
         """A stack spans cells, so one failing cell must fail alone, with
         the status a per-cell fit gives, and leave every other row as a
         sweep without that cell writes it."""
-        if max_sweeps is not None:
-            monkeypatch.setattr(linalg, "sym_eig", functools.partial(
-                linalg.sym_eig, max_sweeps=max_sweeps))
+        if fail_pca_solve:
+            # The solver fails on every total scatter, PCA's matrix.
+            poisoned = []
+            total_scatter = projections.total_scatter
+
+            def recording(d):
+                mean, s_bar = total_scatter(d)
+                poisoned.append(s_bar)
+                return mean, s_bar
+
+            monkeypatch.setattr(projections, "total_scatter", recording)
+            monkeypatch.setattr(linalg, "sym_eig",
+                                failing_solver(linalg.sym_eig, poisoned))
         bundle = small_bundle(seed=2)
         good = (MethodGrid("MDR", (1,)),)
         cfg = small_config(methods=(bad_grid, *good))

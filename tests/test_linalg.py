@@ -118,10 +118,11 @@ class TestSymEig:
         expected = np.sort(np.linalg.eigvalsh(a))[::-1]
         np.testing.assert_allclose(pairs.values, expected, rtol=1e-10, atol=1e-10)
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
         a = random_symmetric(np.random.default_rng(1), 8)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            linalg.sym_eig(a, max_sweeps=0)
+            linalg.sym_eig(a)
 
     def test_deterministic(self):
         a = random_symmetric(np.random.default_rng(5), 15)
@@ -286,13 +287,13 @@ class TestStackedSymEig:
         # fitted model, follow this layout.
         assert linalg.sym_eig(a).vectors.flags.f_contiguous
 
-    def test_member_without_convergence_fails_the_call(self):
+    def test_member_without_convergence_fails_the_call(self, monkeypatch):
         rng = np.random.default_rng(3)
         dense = random_symmetric(rng, 6)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            linalg.sym_eig(np.stack([np.eye(6), dense]), max_sweeps=0)
-        stacked = linalg.sym_eig(np.stack([np.eye(6), np.diag(np.arange(6.0))]),
-                                 max_sweeps=0)
+            linalg.sym_eig(np.stack([np.eye(6), dense]))
+        stacked = linalg.sym_eig(np.stack([np.eye(6), np.diag(np.arange(6.0))]))
         assert np.array_equal(stacked.values[1], np.arange(6.0)[::-1])
 
     def test_asymmetric_member_rejected(self):
@@ -302,8 +303,10 @@ class TestStackedSymEig:
 
 
 def _converges(a, max_sweeps):
-    try:
-        linalg.sym_eig(a, max_sweeps=max_sweeps)
-    except NoConvergence:
-        return False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MAX_SWEEPS", max_sweeps)
+        try:
+            linalg.sym_eig(a)
+        except NoConvergence:
+            return False
     return True

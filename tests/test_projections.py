@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import separated_instance
+from conftest import failing_solver, separated_instance
 from privproj import linalg, projections
 from privproj.data import Dataset, LabelSet
 from privproj.errors import (DimensionMismatch, InputError, InvalidK,
@@ -575,36 +575,23 @@ class TestFitMethods:
         # PCA's s_bar, and the DCA (= zero-weight RUCA), MDR and RUCA[2] pencils.
         assert calls["eig"] == [(4, d.n_features, d.n_features)]
 
-    def test_failing_stack_member_fails_alone(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_failing_stack_member_fails_alone(self, monkeypatch, bad):
         d, util, priv = separated_instance(34, c_p=3)
         configs = [ProjectionConfig("PCA", 1), ProjectionConfig("MDR", 1)]
+        solve, poisoned = linalg.sym_eig, []
 
-        def sweeps_needed(cfg):
-            for limit in range(30):
-                with monkeypatch.context() as patch:
-                    patch.setattr(linalg, "sym_eig", _limited(limit))
-                    try:
-                        fit_method(d, util, [priv], cfg)
-                    except NoConvergence:
-                        continue
-                return limit
+        def recording(a):
+            poisoned.extend(np.reshape(a, (-1, *np.shape(a)[-2:])))
+            return solve(a)
 
-        needed = [sweeps_needed(cfg) for cfg in configs]
-        limit = min(needed)
-        assert max(needed) > limit
-        ok = needed.index(limit)
-        monkeypatch.setattr(linalg, "sym_eig", _limited(limit))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "sym_eig", recording)
+            fit_method(d, util, [priv], configs[bad])
+        assert len(poisoned) == 1  # the bad config's one matrix
+        monkeypatch.setattr(linalg, "sym_eig", failing_solver(solve, poisoned))
         results = fit_methods(d, util, [priv], configs)
-        assert model_to_json(results[ok]) == model_to_json(
-            fit_method(d, util, [priv], configs[ok]))
-        assert isinstance(results[1 - ok], NoConvergence)
-        assert str(results[1 - ok]) == (f"Jacobi did not converge in {limit} "
-                                        f"sweeps (dim {d.n_features})")
-
-
-def _limited(max_sweeps):
-    real = linalg.sym_eig
-
-    def sym_eig(a, *args, **kwargs):
-        return real(a, max_sweeps=max_sweeps)
-    return sym_eig
+        assert model_to_json(results[1 - bad]) == model_to_json(
+            fit_method(d, util, [priv], configs[1 - bad]))
+        assert isinstance(results[bad], NoConvergence)
+        assert str(results[bad]) == "stand-in solver failed"
