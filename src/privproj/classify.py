@@ -21,10 +21,13 @@ ascending sort of the whole distance block hold: every training sample
 strictly closer than the k-th smallest distance, then samples at exactly
 that distance, lowest training index first. Distances are the explicit
 (train - test)^2 sums over features of `_sq_distances`. Each search only
-collects candidates, a superset of that set, and `_first_k` keeps the first
-k by (distance, training index). The data's shape alone picks KNN's
-search, at any training size (README "Classifiers" times both searches
-against the dense one below 64 training points):
+collects candidates, a superset of that set, in one run per test point,
+and `_first_k` keeps the first k by (distance, training index). A test
+point with exactly k candidates holds its answer and is taken as found;
+only the open ones, with more, have their distances recomputed and
+ranked. The data's shape alone picks KNN's search, at any training size
+(README "Classifiers" times both searches against the dense one below 64
+training points):
 
   window  1-D data: training values sorted once; the 2k sorted values
           around a test point's `searchsorted` position give its k-th
@@ -145,8 +148,28 @@ def _at_or_below_kth(block: np.ndarray, k: int,
 def _first_k(x_train: np.ndarray, chunk: np.ndarray, rows: np.ndarray,
              cols: np.ndarray, k: int) -> np.ndarray:
     """(k, n_chunk) training indices, ascending: of the candidate pairs
-    (rows[i], cols[i]), grouped by column in any row order, the first k of
-    each column by (distance, training index). Distances are summed in
+    (rows[i], cols[i]), the first k of each column by (distance, training
+    index). Every column holds at least k candidates, in one contiguous run,
+    the runs in ascending column order (rows within a run in any order), as
+    `np.nonzero` and the window's `np.repeat` hand them over. A column with
+    exactly k candidates holds its answer and is taken as found; only the
+    open columns, with more than k, are ranked by `_rank_runs`."""
+    counts = np.bincount(cols, minlength=chunk.shape[1])
+    first = np.cumsum(counts) - counts
+    nearest = rows[first + np.arange(k)[:, None]]
+    open_cols = counts > k
+    if open_cols.any():
+        in_open = np.repeat(open_cols, counts)
+        nearest[:, open_cols] = _rank_runs(x_train, chunk, rows[in_open],
+                                           cols[in_open], counts[open_cols], k)
+    return np.sort(nearest, axis=0)
+
+
+def _rank_runs(x_train: np.ndarray, chunk: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """(k, n_runs) training indices: the first k of each run of candidate
+    pairs (rows[i], cols[i]), runs of the given counts in ascending column
+    order, by (distance, training index). Distances are summed in
     `_sq_distances`' order, so they are the same bits. The key (column,
     distance rank, row) is unique, below 2^36 while n_train <= 2^18 (a chunk
     holds at most DISTANCE_BLOCK pairs) and below n_train^2 beyond that."""
@@ -158,9 +181,8 @@ def _first_k(x_train: np.ndarray, chunk: np.ndarray, rows: np.ndarray,
     # is faster on the column runs the candidates arrive in.
     by_col = np.argsort((cols * rank.size + rank) * x_train.shape[1] + rows,
                         kind="stable")
-    counts = np.bincount(cols, minlength=chunk.shape[1])
     first = np.cumsum(counts) - counts
-    return np.sort(rows[by_col[first + np.arange(k)[:, None]]], axis=0)
+    return rows[by_col[first + np.arange(k)[:, None]]]
 
 
 def _dense(x_train: np.ndarray, test_chunk: np.ndarray, k: int) -> np.ndarray:

@@ -158,10 +158,12 @@ def _apply_round(work: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> None:
     apq = work[bs, ps, qs]
     app = work[bs, ps, ps]
     aqq = work[bs, qs, qs]
-    theta = (aqq - app) / (2.0 * apq)
-    t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
+    # Overflow past |theta| ~ 1.3e154 is harmless: t is then 0 (true t < 4e-155).
+    with np.errstate(over="ignore"):
+        theta = (aqq - app) / (2.0 * apq)
+        t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
     c_col, s_col = c[:, None], s[:, None]
 
     cols_p = work[bs, :, ps]

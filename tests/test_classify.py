@@ -508,6 +508,114 @@ class TestNeighborSelection:
             assert straddled > 0, problem.__name__
 
 
+def exact_columns_data(rng, m):
+    """Census-shaped (x_train, x_test), 360 and 1740 points: the 29-feature
+    FULL baseline, or at m = 1 its projection on a random direction. The
+    distances are distinct, so each column has exactly k candidates."""
+    x_train, x_test = census_shaped(rng, 360), census_shaped(rng, 1740)
+    if m == 1:
+        w = rng.standard_normal((1, 29))
+        return w @ x_train, w @ x_test
+    return x_train, x_test
+
+
+def mixed_columns_data(rng, m):
+    """Every feature a sum of 29 random bits, 360 and 1740 points: the
+    tie-heavy 1-D data at m = 1, where most columns have more than k
+    candidates and some exactly k."""
+    def bit_sums(n):
+        return rng.integers(0, 2, size=(m, 29, n)).sum(axis=1).astype(float)
+    return bit_sums(360), bit_sums(1740)
+
+
+def open_columns_data(rng, m):
+    """Constant training values: all 360 training points tie in every
+    column."""
+    return np.full((m, 360), 0.5), rng.standard_normal((m, 1740))
+
+
+#: Every search that hands candidates to `_first_k`, with the feature count
+#: it is checked at.
+RUN_SEARCHES = [("_window_neighbors", 1), ("_gram_neighbors", 1),
+                ("_gram_neighbors", 29), ("_dense_neighbors", 1),
+                ("_dense_neighbors", 29)]
+
+
+def column_counts(search, x_train, x_test, k):
+    """(neighbours, candidates per column as `_first_k` received them,
+    candidates per run as `_rank_runs` received them), over all chunks."""
+    received, ranked = [], []
+    first_k, rank_runs = classify._first_k, classify._rank_runs
+
+    def first_k_spy(x_train, chunk, rows, cols, k):
+        received.append(np.bincount(cols, minlength=chunk.shape[1]))
+        return first_k(x_train, chunk, rows, cols, k)
+
+    def rank_runs_spy(x_train, chunk, rows, cols, counts, k):
+        ranked.append(counts)
+        return rank_runs(x_train, chunk, rows, cols, counts, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_first_k", first_k_spy)
+        mp.setattr(classify, "_rank_runs", rank_runs_spy)
+        got = getattr(classify, search)(x_train, x_test, k)
+    return (got, np.concatenate(received),
+            np.concatenate(ranked) if ranked else np.zeros(0, np.intp))
+
+
+class TestExactColumns:
+    """`_first_k` takes a column with exactly k candidates as found and
+    ranks only the open columns, those with more."""
+
+    @pytest.mark.parametrize("search, m", RUN_SEARCHES)
+    @pytest.mark.parametrize("data, exact", [(exact_columns_data, "all"),
+                                             (mixed_columns_data, "some"),
+                                             (open_columns_data, "none")])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_matches_stable_argsort(self, search, m, data, exact, k):
+        x_train, x_test = data(np.random.default_rng(0), m)
+        got, counts, _ = column_counts(search, x_train, x_test, k)
+        assert np.array_equal(got, argsort_neighbors(x_train, x_test, k))
+        # Guards the data: it holds the kinds of column it is named for.
+        n_exact = np.count_nonzero(counts == k)
+        assert {"all": n_exact == x_test.shape[1],
+                "some": 0 < n_exact < x_test.shape[1],
+                "none": n_exact == 0}[exact]
+
+    @pytest.mark.parametrize("search, m", RUN_SEARCHES)
+    def test_only_open_columns_are_ranked(self, search, m):
+        x_train, x_test = mixed_columns_data(np.random.default_rng(0), m)
+        _, counts, ranked = column_counts(search, x_train, x_test, 5)
+        assert np.array_equal(ranked, counts[counts > 5])
+
+    @pytest.mark.parametrize("search, m", RUN_SEARCHES)
+    @pytest.mark.parametrize("slice_rows", [1, 3, None])
+    def test_callers_hand_over_ascending_column_runs(self, search, m,
+                                                     slice_rows):
+        # `_first_k` reads a column's first k candidates at the start of
+        # its run, so each caller must hand over one run per column, the
+        # runs in column order, over partition slices and test chunks that
+        # end part-way.
+        handed = []
+        first_k = classify._first_k
+
+        def spy(x_train, chunk, rows, cols, k):
+            handed.append((cols, chunk.shape[1]))
+            return first_k(x_train, chunk, rows, cols, k)
+
+        x_train, x_test = mixed_columns_data(np.random.default_rng(1), m)
+        with pytest.MonkeyPatch.context() as mp:
+            sliced(mp, slice_rows, x_train.shape[1])
+            mp.setattr(classify, "DISTANCE_BLOCK", 100 * x_train.shape[1])
+            mp.setattr(classify, "_first_k", spy)
+            got = getattr(classify, search)(x_train, x_test, 5)
+        assert np.array_equal(got, argsort_neighbors(x_train, x_test, 5))
+        assert sum(n_chunk for _, n_chunk in handed) == x_test.shape[1]
+        for cols, n_chunk in handed:
+            assert np.all(np.diff(cols) >= 0)
+            assert np.all(np.bincount(cols, minlength=n_chunk) >= 5)
+
+
 class TestDispatch:
     @pytest.mark.parametrize("m, search", [(1, "_window_neighbors"),
                                            (29, "_gram_neighbors")])

@@ -118,6 +118,21 @@ class TestSymEig:
         expected = np.sort(np.linalg.eigvalsh(a))[::-1]
         np.testing.assert_allclose(pairs.values, expected, rtol=1e-10, atol=1e-10)
 
+    def test_tiny_entry_beside_a_gap(self):
+        # theta = 1 / 2e-200 overflows theta * theta: the rotation must come
+        # out as the identity it is, with no overflow warning (the suite
+        # turns RuntimeWarning into an error). Pinned to the solver's bytes.
+        a = np.array([[1.0, 1e-200, 0.0, 0.0], [1e-200, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 3.0, 0.5], [0.0, 0.0, 0.5, 4.0]])
+        pairs = linalg.sym_eig(a)
+        assert np.array_equal(pairs.values, [4.207106781186548,
+                                             2.7928932188134525, 2.0, 1.0])
+        c, s = 0.3826834323650898, 0.9238795325112867
+        assert np.array_equal(pairs.vectors, [[0.0, 0.0, 0.0, 1.0],
+                                              [0.0, 0.0, 1.0, 0.0],
+                                              [c, s, 0.0, 0.0],
+                                              [s, -c, 0.0, 0.0]])
+
     def test_no_convergence(self, monkeypatch):
         a = random_symmetric(np.random.default_rng(1), 8)
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
