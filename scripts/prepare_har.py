@@ -1,52 +1,51 @@
 #!/usr/bin/env python3
 """Prepare the human-activity-recognition training partition.
 
-Converts the space-separated feature matrix plus integer label files into
-the CSV form load_csv expects (561 numeric features, activity and subject
-label columns), then splits it into fit/eval halves stratified jointly on
-(subject, activity) so the subject-identification task is evaluable: the
-published test partition contains different people and cannot score an
-identity classifier.
-
+Reads the UCI layout's train/X_train.txt (561 features a row), y_train.txt
+and subject_train.txt. Activity id a becomes class a - 1, and a subject's
+class is the rank of its id. The rows are split into fit/eval halves
+stratified jointly on (subject, activity), since the published test
+partition holds other people and cannot score an identity classifier.
+Writes train.csv and test.csv with .activity and .subject label files.
 Run scripts/fetch_data.sh first.
 """
 
 import argparse
-import csv
 import sys
-from importlib import resources
 from pathlib import Path
 
-from privproj.dataio import (joint_labels, load_csv, load_schema,
-                             save_dataset_csv, save_labels_csv,
+import numpy as np
+
+from privproj.data import Dataset, LabelSet
+from privproj.dataio import (joint_labels, save_dataset_csv, save_labels_csv,
                              stratified_holdout)
-
-ACTIVITY_NAMES = ("WALKING", "WALKING_UPSTAIRS", "WALKING_DOWNSTAIRS",
-                  "SITTING", "STANDING", "LAYING")
+from privproj.errors import InputError
 
 
-def convert(har_dir: Path, out_csv: Path) -> int:
-    x_path = har_dir / "train" / "X_train.txt"
-    y_path = har_dir / "train" / "y_train.txt"
-    s_path = har_dir / "train" / "subject_train.txt"
-    for p in (x_path, y_path, s_path):
-        if not p.exists():
-            raise FileNotFoundError(p)
-    n_rows = 0
-    with open(x_path) as xf, open(y_path) as yf, open(s_path) as sf, \
-            open(out_csv, "w", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(1, 562)]
-                        + ["activity", "subject"])
-        for x_line, y_line, s_line in zip(xf, yf, sf):
-            features = x_line.split()
-            if len(features) != 561:
-                raise ValueError(f"expected 561 features, got "
-                                 f"{len(features)}")
-            activity = ACTIVITY_NAMES[int(y_line) - 1]
-            writer.writerow(features + [activity, s_line.strip()])
-            n_rows += 1
-    return n_rows
+def load_train(train_dir: Path) -> tuple[Dataset, dict[str, LabelSet]]:
+    """The features and the activity and subject labelings of one partition."""
+    paths = [train_dir / f"{name}_train.txt" for name in ("X", "y", "subject")]
+    arrays = []
+    try:
+        for path, dtype, ndmin in zip(paths, (np.float64, np.int64, np.int64),
+                                      (2, 1, 1)):
+            arrays.append(np.loadtxt(path, dtype, ndmin=ndmin))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    x, y, subject = arrays
+    if x.shape[1] != 561:
+        raise InputError(f"{paths[0]}: expected 561 features a row, "
+                         f"got {x.shape[1]}")
+    if not len(x) == len(y) == len(subject):
+        raise InputError("row counts differ: " + ", ".join(
+            f"{p} has {len(a)}" for p, a in zip(paths, (x, y, subject))))
+    try:
+        activity = LabelSet(y - 1, 6)
+    except InputError as exc:
+        raise InputError(f"{paths[1]}: activity ids must be 1-6 ({exc})")
+    ids, subject_class = np.unique(subject, return_inverse=True)
+    return (Dataset(x.T, [f"f{i}" for i in range(1, 562)]),
+            {"activity": activity, "subject": LabelSet(subject_class, ids.size)})
 
 
 def main() -> int:
@@ -58,17 +57,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    har_dir, out_dir = Path(args.har_dir), Path(args.out_dir)
+    try:
+        dataset, labels = load_train(Path(args.har_dir) / "train")
+        joint = joint_labels([labels["subject"], labels["activity"]])
+        fit_idx, eval_idx = stratified_holdout(joint, args.eval_fraction,
+                                               seed=args.seed)
+    except (OSError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    combined = out_dir / "har_all.csv"
-    n_rows = convert(har_dir, combined)
-    print(f"converted {n_rows} rows")
-
-    schema = load_schema(resources.files("privproj.schemas") / "har.json")
-    dataset, labels = load_csv(combined, schema)
-    joint = joint_labels([labels["subject"], labels["activity"]])
-    fit_idx, eval_idx = stratified_holdout(joint, args.eval_fraction,
-                                           seed=args.seed)
     for tag, idx in (("train", fit_idx), ("test", eval_idx)):
         save_dataset_csv(dataset.take(idx), out_dir / f"{tag}.csv")
         for name, label_set in labels.items():

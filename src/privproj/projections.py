@@ -113,6 +113,9 @@ class ProjectionModel:
         mean = np.asarray(self.feature_mean, dtype=np.float64)
         if w.ndim != 2:
             raise InputError("w must be 2-d")
+        if w.shape[1] != self.config.k:
+            raise InputError(
+                f"config k={self.config.k} but w has {w.shape[1]} columns")
         if vals.shape != (w.shape[1],):
             raise InputError(
                 f"eigenvalues shape {vals.shape} != ({w.shape[1]},)")

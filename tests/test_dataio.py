@@ -786,15 +786,6 @@ class TestShippedSchemas:
         assert ({c.name for c in schema.columns if c.kind == "label"}
                 == {"marital-status", "sex", "income"})
 
-    def test_har_schema_shape(self):
-        from importlib import resources
-        text = (resources.files("privproj") / "schemas" / "har.json").read_text()
-        schema = schema_from_json(text)
-        assert schema.n_features == 561
-        by_name = {c.name: c for c in schema.columns}
-        assert len(by_name["activity"].categories) == 6
-        assert len(by_name["subject"].categories) == 21
-
 
 class TestNormalizeAdultCsv:
     RAW = (

@@ -486,6 +486,14 @@ class TestDeterminismAndSerialization:
         with pytest.raises(InputError):
             model_from_json('{"method": "PCA"}')
 
+    def test_k_must_match_w_columns(self):
+        text = model_to_json(ProjectionModel(
+            w=np.eye(2), eigenvalues=np.zeros(2),
+            config=ProjectionConfig(method="PCA", k=2),
+            feature_mean=np.zeros(2)))
+        with pytest.raises(InputError, match="config k=1 but w has 2 columns"):
+            model_from_json(text.replace('"k": 2,', '"k": 1,'))
+
 
 class TestDispatch:
     def test_fit_method_routes_all(self):
