@@ -11,11 +11,11 @@ census-style generator instead of the real files.
 """
 
 import argparse
-import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
+from privproj import cli
 from privproj.dataio import normalize_adult_csv
 from privproj.synthetic import write_adult_like_csv
 
@@ -23,11 +23,11 @@ from privproj.synthetic import write_adult_like_csv
 def prepare_split(raw_csv: Path, out_prefix: Path, seed: int) -> int:
     """Encode, recode and jointly balance one split via `privproj preprocess`."""
     schema = resources.files("privproj.schemas") / "census_adult.json"
-    cmd = [sys.executable, "-m", "privproj.cli", "preprocess",
-           "--input", str(raw_csv), "--schema", str(schema),
-           "--recode-census-marital", "--balance-on", "marital-status,sex",
-           "--seed", str(seed), "--output", str(out_prefix)]
-    return subprocess.call(cmd)
+    return cli.main(["preprocess",
+                     "--input", str(raw_csv), "--schema", str(schema),
+                     "--recode-census-marital",
+                     "--balance-on", "marital-status,sex",
+                     "--seed", str(seed), "--output", str(out_prefix)])
 
 
 def main() -> int:

@@ -22,8 +22,10 @@ from privproj.dataio import (joint_labels, save_dataset_csv, save_labels_csv,
 from privproj.errors import InputError
 
 
-def load_train(train_dir: Path) -> tuple[Dataset, dict[str, LabelSet]]:
-    """The features and the activity and subject labelings of one partition."""
+def load_train(train_dir: Path
+               ) -> tuple[Dataset, dict[str, LabelSet], np.ndarray]:
+    """The features, the activity and subject labelings of one partition,
+    and the subject ids in class order."""
     paths = [train_dir / f"{name}_train.txt" for name in ("X", "y", "subject")]
     arrays = []
     try:
@@ -45,7 +47,8 @@ def load_train(train_dir: Path) -> tuple[Dataset, dict[str, LabelSet]]:
         raise InputError(f"{paths[1]}: activity ids must be 1-6 ({exc})")
     ids, subject_class = np.unique(subject, return_inverse=True)
     return (Dataset(x.T, [f"f{i}" for i in range(1, 562)]),
-            {"activity": activity, "subject": LabelSet(subject_class, ids.size)})
+            {"activity": activity, "subject": LabelSet(subject_class, ids.size)},
+            ids)
 
 
 def main() -> int:
@@ -58,8 +61,14 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        dataset, labels = load_train(Path(args.har_dir) / "train")
+        dataset, labels, ids = load_train(Path(args.har_dir) / "train")
         joint = joint_labels([labels["subject"], labels["activity"]])
+        # Joint class j is subject class j // 6 doing activity class j % 6.
+        empty = np.flatnonzero(joint.counts() == 0)
+        if empty.size:
+            raise InputError("; ".join(
+                f"subject {ids[j // 6]} has no rows of activity {j % 6 + 1}"
+                for j in empty))
         fit_idx, eval_idx = stratified_holdout(joint, args.eval_fraction,
                                                seed=args.seed)
     except (OSError, InputError) as exc:

@@ -11,9 +11,10 @@ Expects data prepared by scripts/prepare_census.py (real or --synthetic).
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
+
+from privproj import cli
 
 CONFIG = {
     "methods": [
@@ -50,18 +51,17 @@ def main() -> int:
     config_path = out_dir / "config.json"
     config_path.write_text(json.dumps(CONFIG, indent=2) + "\n")
 
-    cmd = [sys.executable, "-m", "privproj.cli", "sweep",
-           "--config", str(config_path),
-           "--train-data", str(data / "train.csv"),
-           "--train-utility", str(data / "train.income.csv"),
-           "--train-privacy", str(data / "train.marital-status.csv"),
-           "--train-privacy", str(data / "train.sex.csv"),
-           "--test-data", str(data / "test.csv"),
-           "--test-utility", str(data / "test.income.csv"),
-           "--test-privacy", str(data / "test.marital-status.csv"),
-           "--test-privacy", str(data / "test.sex.csv"),
-           "--seed", str(args.seed), "--out-dir", str(out_dir)]
-    return subprocess.call(cmd)
+    return cli.main([
+        "sweep", "--config", str(config_path),
+        "--train-data", str(data / "train.csv"),
+        "--train-utility", str(data / "train.income.csv"),
+        "--train-privacy", str(data / "train.marital-status.csv"),
+        "--train-privacy", str(data / "train.sex.csv"),
+        "--test-data", str(data / "test.csv"),
+        "--test-utility", str(data / "test.income.csv"),
+        "--test-privacy", str(data / "test.marital-status.csv"),
+        "--test-privacy", str(data / "test.sex.csv"),
+        "--seed", str(args.seed), "--out-dir", str(out_dir)])
 
 
 if __name__ == "__main__":

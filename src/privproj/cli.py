@@ -181,7 +181,7 @@ def cmd_sweep(args) -> int:
 def cmd_plot(args) -> int:
     points = read_tradeoff_points(args.csv)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_svg(points, scored_task=0))
+        fh.write(render_svg(points))
     print(f"wrote {args.out}")
     return 0
 

@@ -203,44 +203,16 @@ def performance(acc_u: float, acc_p: float, beta: float) -> float:
     return acc_u + beta * (1.0 - acc_p)
 
 
-def _project_and_score(model, train: Dataset, train_labels,
-                       bundle: DataBundle, spec: ClassifierSpec):
-    """One cell's outcome for one iteration: (acc_u, acc_p per task), or the
-    PrivprojError its fit, projection or scoring raised. The model (None:
-    no projection) is projected onto the subsample and the test set, and
-    one `train_eval` call scores every labeling over one neighbour search."""
-    if isinstance(model, PrivprojError):
-        return model
-    try:
-        train_z, test_z = ((train, bundle.test) if model is None
-                           else (project(model, train),
-                                 project(model, bundle.test)))
-        reports = train_eval(train_z, train_labels, test_z,
-                             (bundle.test_utility, *bundle.test_privacy), spec)
-    except PrivprojError as exc:
-        return exc
-    return reports[0].accuracy, [report.accuracy for report in reports[1:]]
-
-
 def _std(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _scored_privacy_mean(cfg: ExperimentConfig,
-                         acc_p_means: tuple[float, ...]) -> float | None:
-    if not acc_p_means:
-        return None
-    if cfg.scored_privacy == "max":
-        return max(acc_p_means)
-    return acc_p_means[0]
-
-
-def _point(cell, outcomes, cfg: ExperimentConfig,
-           n_privacy: int) -> TradeoffPoint:
-    """Aggregate one cell's per-iteration outcomes; the cell fails with the
-    error of its first failing iteration."""
-    method, k, weights = cell
-    error = next((o for o in outcomes if isinstance(o, PrivprojError)), None)
+def _point(method: str, k: int, weights: tuple[float, ...], acc: np.ndarray,
+           error: PrivprojError | None,
+           cfg: ExperimentConfig) -> TradeoffPoint:
+    """One cell's row from acc[task, iteration] (task 0: utility, then each
+    privacy task), or its failed row with the status of `error`."""
+    n_privacy = acc.shape[0] - 1
     if error is not None:
         nan_p = (math.nan,) * n_privacy
         return TradeoffPoint(
@@ -249,22 +221,20 @@ def _point(cell, outcomes, cfg: ExperimentConfig,
             acc_p_means=nan_p, acc_p_stds=nan_p,
             performance={beta: math.nan for beta in cfg.betas},
             status=f"failed: {type(error).__name__}: {error}")
-    acc_u = np.empty(cfg.iterations)
-    acc_p = np.empty((n_privacy, cfg.iterations))
-    for it, (u, p) in enumerate(outcomes):
-        acc_u[it] = u
-        acc_p[:, it] = p
-    acc_p_means = tuple(float(acc_p[t].mean()) for t in range(n_privacy))
-    scored = _scored_privacy_mean(cfg, acc_p_means)
-    perf = {beta: performance(float(acc_u.mean()), scored, beta)
-            for beta in cfg.betas} if scored is not None else {
-        beta: float(acc_u.mean()) for beta in cfg.betas}
+    means = tuple(float(row.mean()) for row in acc)
+    stds = tuple(_std(row) for row in acc)
+    acc_u_mean, acc_p_means = means[0], means[1:]
+    if acc_p_means:
+        scored = (max(acc_p_means) if cfg.scored_privacy == "max"
+                  else acc_p_means[0])
+        perf = {beta: performance(acc_u_mean, scored, beta)
+                for beta in cfg.betas}
+    else:
+        perf = dict.fromkeys(cfg.betas, acc_u_mean)
     return TradeoffPoint(
         method=method, k=k, privacy_weights=weights,
-        acc_u_mean=float(acc_u.mean()), acc_u_std=_std(acc_u),
-        acc_p_means=acc_p_means,
-        acc_p_stds=tuple(_std(acc_p[t]) for t in range(n_privacy)),
-        performance=perf)
+        acc_u_mean=acc_u_mean, acc_u_std=stds[0],
+        acc_p_means=acc_p_means, acc_p_stds=stds[1:], performance=perf)
 
 
 def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
@@ -277,38 +247,49 @@ def run_sweep(cfg: ExperimentConfig, bundle: DataBundle,
     subsample and the test set and score it, one cell at a time, all on
     the calling thread. `threads` is ignored; it is kept only for callers
     that still pass it.
-    A failing cell yields a row with the status of its first failing
-    iteration instead of aborting the run; once its failure is known, it
-    is not fitted again.
+    A failing cell does not abort the run. An error map holds each cell's
+    first PrivprojError, from the subsample draw, its fit, its projection
+    or its scoring; a cell in the map is not fitted or scored again, and
+    its row is failed with that error's status.
     """
     cells = (None, *cfg.cells)  # None: the full-dimensional baseline
     split_seed = mix(cfg.seed or 0, "subsample")
     all_labels = [bundle.train_utility, *bundle.train_privacy]
-    outcomes = [[] for _ in cells]
+    test_labels = (bundle.test_utility, *bundle.test_privacy)
+    # acc[cell, task, iteration]; task 0 is utility, then each privacy task.
+    acc = np.empty((len(cells), 1 + bundle.n_privacy, cfg.iterations))
+    errors: dict[int, PrivprojError] = {}
     for it in range(cfg.iterations):
-        live = [c for c, out in enumerate(outcomes)
-                if not any(isinstance(o, PrivprojError) for o in out)]
+        live = [c for c in range(len(cells)) if c not in errors]
         try:
             sub_train, sub_labels = subsample(
                 bundle.train, all_labels, split_seed, cfg.fraction, it)
         except PrivprojError as exc:
-            for c in live:
-                outcomes[c].append(exc)
+            errors.update(dict.fromkeys(live, exc))
             continue
-        utility, privacy = sub_labels[0], tuple(sub_labels[1:])
         fitted = [c for c in live if cells[c] is not None]
         models = dict.fromkeys(live)
         models.update(zip(fitted, fit_methods(
-            sub_train, utility, privacy,
+            sub_train, sub_labels[0], sub_labels[1:],
             [_salted(cells[c], cfg.seed, it) for c in fitted])))
         for c in live:
-            outcomes[c].append(_project_and_score(
-                models[c], sub_train, (utility, *privacy), bundle,
-                cfg.classifier))
+            model = models[c]
+            try:
+                if isinstance(model, PrivprojError):
+                    raise model
+                train_z, test_z = ((sub_train, bundle.test) if model is None
+                                   else (project(model, sub_train),
+                                         project(model, bundle.test)))
+                reports = train_eval(train_z, sub_labels, test_z,
+                                     test_labels, cfg.classifier)
+            except PrivprojError as exc:
+                errors[c] = exc
+                continue
+            acc[c, :, it] = [report.accuracy for report in reports]
     rows = [(FULL_BASELINE, bundle.train.n_features, ()),
             *((c.method, c.k, c.privacy_weights) for c in cfg.cells)]
-    return [_point(row, out, cfg, bundle.n_privacy)
-            for row, out in zip(rows, outcomes)]
+    return [_point(*row, acc[c], errors.get(c), cfg)
+            for c, row in enumerate(rows)]
 
 
 def _salted(cell: ProjectionConfig, seed: int | None,
@@ -369,10 +350,13 @@ def tradeoff_csv_header(n_privacy: int, betas: tuple[float, ...]) -> list[str]:
     return header
 
 
+def _weights_text(weights: tuple[float, ...]) -> str:
+    return ";".join(format(w, "g") for w in weights)
+
+
 def _tradeoff_rows(points: list[TradeoffPoint], betas: tuple[float, ...]):
     for p in points:
-        row = [p.method, str(p.k), ";".join(format(w, "g")
-                                            for w in p.privacy_weights),
+        row = [p.method, str(p.k), _weights_text(p.privacy_weights),
                _csv_value(p.acc_u_mean), _csv_value(p.acc_u_std)]
         for mean, std in zip(p.acc_p_means, p.acc_p_stds):
             row += [_csv_value(mean), _csv_value(std)]
@@ -456,9 +440,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf")
 
 
-def render_svg(points: list[TradeoffPoint], scored_task: int) -> str:
+def render_svg(points: list[TradeoffPoint]) -> str:
     """Self-contained SVG: one polyline per (method, weights) group, points
-    ordered by k; dashed horizontal line at full-dimensional utility accuracy.
+    ordered by k, each at (1 - first privacy task's accuracy, utility
+    accuracy); dashed horizontal line at full-dimensional utility accuracy.
     Axes are fixed to [0, 1] so output depends only on the data."""
     width, height, margin = 640, 480, 60
 
@@ -515,7 +500,7 @@ def render_svg(points: list[TradeoffPoint], scored_task: int) -> str:
         members = sorted(members, key=lambda p: p.k)
         coords = []
         for p in members:
-            acc_p = p.acc_p_means[scored_task] if p.acc_p_means else 0.0
+            acc_p = p.acc_p_means[0] if p.acc_p_means else 0.0
             coords.append((sx(1.0 - acc_p), sy(p.acc_u_mean)))
         if len(coords) > 1:
             path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
@@ -524,8 +509,7 @@ def render_svg(points: list[TradeoffPoint], scored_task: int) -> str:
         for x, y in coords:
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
                          f'fill="{color}"/>')
-        label = method if not weights else (
-            method + "[" + ";".join(format(w, "g") for w in weights) + "]")
+        label = f"{method}[{_weights_text(weights)}]" if weights else method
         parts.append(f'<rect x="{width - margin - 150}" y="{legend_y:.1f}" '
                      f'width="12" height="12" fill="{color}"/>')
         parts.append(f'<text x="{width - margin - 132}" y="{legend_y + 10:.1f}" '
@@ -536,8 +520,8 @@ def render_svg(points: list[TradeoffPoint], scored_task: int) -> str:
 
 
 def emit_tradeoff_curve(points: list[TradeoffPoint], base_path,
-                        betas: tuple[float, ...] | None = None,
-                        scored_task: int = 0) -> tuple[str, str]:
+                        betas: tuple[float, ...] | None = None
+                        ) -> tuple[str, str]:
     """Write <base>.csv and <base>.svg; returns both paths. Output bytes are
     a pure function of the points (no timestamps or environment data)."""
     if not points:
@@ -555,5 +539,5 @@ def emit_tradeoff_curve(points: list[TradeoffPoint], base_path,
         writer.writerow(tradeoff_csv_header(n_privacy, betas))
         writer.writerows(_tradeoff_rows(points, betas))
     with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_svg(points, scored_task))
+        fh.write(render_svg(points))
     return csv_path, svg_path

@@ -540,6 +540,16 @@ class TestSweep:
             {"method": "MDR", "k_values": [99]}])
         assert main(sweep_args(bundle_files, config, tmp_path / "out")) == 1
 
+    def test_empty_subsample_exits_1(self, tmp_path, bundle_files, capsys):
+        config = write_config(tmp_path / "config.json", fraction=0.001)
+        out_dir = tmp_path / "out"
+        assert main(sweep_args(bundle_files, config, out_dir)) == 1
+        err = capsys.readouterr().err
+        assert ("PCA k=1: failed: InputError: fraction 0.001 keeps 0 of 80 "
+                "samples") in err
+        assert "error: every grid cell failed" in err
+        assert not out_dir.exists()
+
     def test_partial_failure_still_succeeds(self, tmp_path, bundle_files,
                                             capsys):
         config = write_config(tmp_path / "config.json", methods=[

@@ -350,6 +350,23 @@ class TestRunSweep:
         assert (csv_bytes(points[:2] + points[3:], tmp_path / "rest")
                 == csv_bytes(clean[:2] + clean[3:], tmp_path / "clean"))
 
+    def test_empty_subsample_fails_every_row_unfitted(self, monkeypatch):
+        """A fraction that keeps no training row fails every row, the FULL
+        baseline included, with the draw's error, and fits nothing."""
+        bundle = small_bundle()
+        cfg = small_config(methods=(MethodGrid("DCA", (1, 2)),
+                                    MethodGrid("PCA", (1,))), fraction=0.001)
+
+        def no_fit(*args):
+            raise AssertionError("fit_methods was called")
+
+        monkeypatch.setattr(experiment, "fit_methods", no_fit)
+        points = run_sweep(cfg, bundle)
+        assert [p.method for p in points] == [FULL_BASELINE, "DCA", "DCA",
+                                              "PCA"]
+        assert all(p.status == "failed: InputError: fraction 0.001 keeps 0 "
+                               "of 240 samples" for p in points)
+
     def test_aggregation_matches_per_iteration_values(self):
         bundle = small_bundle()
         cfg = small_config(iterations=4)
@@ -602,28 +619,28 @@ class TestEmission:
             TradeoffPoint("PCA", k, (), 0.7 + 0.01 * k, 0.0, (0.75,), (0.0,),
                           {1.0: 0.95}) for k in (1, 2)
         ]
-        svg = render_svg(pts, scored_task=0)
+        svg = render_svg(pts)
         assert svg.count("<polyline") == 2
         assert ">DCA</text>" in svg and ">PCA</text>" in svg
 
     def test_weighted_group_labeled_with_weights(self):
         pts = [TradeoffPoint("RUCA", k, (4.0,), 0.8, 0.0, (0.6,), (0.0,),
                              {1.0: 1.2}) for k in (1, 2)]
-        svg = render_svg(pts, scored_task=0)
+        svg = render_svg(pts)
         assert ">RUCA[4]</text>" in svg
 
     def test_points_ordered_by_k_in_polyline(self):
         pts = [TradeoffPoint("DCA", k, (), 0.5 + 0.1 * k, 0.0,
                              (0.5 + 0.05 * k,), (0.0,), {1.0: 1.0})
                for k in (3, 1, 2)]
-        svg = render_svg(pts, scored_task=0)
+        svg = render_svg(pts)
         line = next(l for l in svg.splitlines() if "<polyline" in l)
         xs = [float(pair.split(",")[1]) for pair in
               line.split('points="')[1].split('"')[0].split()]
         assert xs == sorted(xs, reverse=True)  # rising acc_u = falling y
 
     def test_svg_self_contained(self):
-        svg = render_svg(sample_points(), scored_task=0)
+        svg = render_svg(sample_points())
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert "http://www.w3.org/2000/svg" in svg

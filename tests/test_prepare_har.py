@@ -18,12 +18,14 @@ SUBJECT_IDS = (2, 9, 30)
 ROWS_PER_CELL = 4
 
 
-def write_uci(har_dir: Path, drop_y_rows: int = 0, activity_shift: int = 0):
-    """UCI-layout train files: every (subject, activity) cell holds
-    ROWS_PER_CELL rows in shuffled order. Feature f1 is the row number, so
-    an output row names the input row it came from."""
+def write_uci(har_dir: Path, drop_y_rows: int = 0, activity_shift: int = 0,
+              missing_cells=()):
+    """UCI-layout train files: every (subject, activity) cell not in
+    missing_cells holds ROWS_PER_CELL rows in shuffled order. Feature f1 is
+    the row number, so an output row names the input row it came from."""
     rng = np.random.default_rng(5)
-    cells = [(s, a) for s in SUBJECT_IDS for a in range(1, 7)]
+    cells = [(s, a) for s in SUBJECT_IDS for a in range(1, 7)
+             if (s, a) not in missing_cells]
     order = rng.permutation(len(cells) * ROWS_PER_CELL) // ROWS_PER_CELL
     subject = np.array([cells[i][0] for i in order])
     activity = np.array([cells[i][1] for i in order]) + activity_shift
@@ -117,4 +119,16 @@ def test_activity_ids_out_of_range(tmp_path, shift, seen):
     assert result.returncode == 2
     assert "y_train.txt: activity ids must be 1-6" in result.stderr
     assert f"saw {seen}" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing, named", [
+    (((9, 6),), "subject 9 has no rows of activity 6"),
+    (((2, 1), (30, 4)), "subject 2 has no rows of activity 1; "
+                        "subject 30 has no rows of activity 4")])
+def test_subject_without_an_activity_is_named(tmp_path, missing, named):
+    write_uci(tmp_path / "uci", missing_cells=missing)
+    result = run(tmp_path / "uci", tmp_path / "out")
+    assert result.returncode == 2
+    assert f"error: {named}\n" in result.stderr
     assert not (tmp_path / "out").exists()
